@@ -9,9 +9,14 @@
 // larger-than-budget backpressure path through every differential case.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bit_identity.h"
@@ -283,6 +288,229 @@ TEST(HighCapacity, AsyncProtocolsTakeOver) {
   EXPECT_GT(async->stats.total_bits, 0);
   EXPECT_LT(async->stats.makespan,
             static_cast<double>(baseline->stats.rounds) + 1.0);
+}
+
+// ------------------------------------------------------ golden cost counts
+
+/// The four protocol entry points the golden table pins.
+enum GoldenProtocol { kTrivialSync, kForestSync, kTrivialAsync, kForestAsync };
+
+/// Exact cost observables of one run. A change to the protocol bodies or the
+/// transport adapters that is meant to be behavior-preserving must leave
+/// every one of these untouched — not just the answers.
+struct GoldenCounts {
+  int64_t rounds, total_bits;
+  double makespan;
+  int64_t pages, max_in_flight_pages, payload_bits_encoded, payload_bits_plain;
+  std::vector<double> edge_utilization;
+  bool operator==(const GoldenCounts&) const = default;
+};
+
+GoldenCounts CountsOf(const ProtocolStats& s) {
+  return {s.rounds,
+          s.total_bits,
+          s.makespan,
+          s.pages,
+          s.max_in_flight_pages,
+          s.payload_bits_encoded,
+          s.payload_bits_plain,
+          s.edge_utilization};
+}
+
+/// Table-row rendering of `c` (doubles round-trip at %.17g), printed on a
+/// mismatch so an intended cost change shows the row to re-pin.
+std::string GoldenRow(const std::string& name, int protocol,
+                      const GoldenCounts& c) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"%s\", %d, {%lld, %lld, %.17g, %lld, %lld, %lld, %lld, {",
+                name.c_str(), protocol, static_cast<long long>(c.rounds),
+                static_cast<long long>(c.total_bits), c.makespan,
+                static_cast<long long>(c.pages),
+                static_cast<long long>(c.max_in_flight_pages),
+                static_cast<long long>(c.payload_bits_encoded),
+                static_cast<long long>(c.payload_bits_plain));
+  std::string row = buf;
+  for (size_t i = 0; i < c.edge_utilization.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s%.17g", i ? ", " : "",
+                  c.edge_utilization[i]);
+    row += buf;
+  }
+  return row + "}}},";
+}
+
+template <CommutativeSemiring S>
+DistInstance<S> GoldenInstance(Hypergraph h, std::vector<VarId> free_vars,
+                               Graph g, NodeId sink, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Relation<S>> rels;
+  for (int e = 0; e < h.num_edges(); ++e)
+    rels.push_back(RandomRelation<S>(h.edge(e), 20, 5, &rng));
+  DistInstance<S> inst;
+  inst.query =
+      MakeFaqSS<S>(std::move(h), std::move(rels), std::move(free_vars));
+  inst.topology = std::move(g);
+  inst.owners = RoundRobinOwners(inst.query.hypergraph.num_edges(),
+                                 inst.topology.num_nodes());
+  inst.sink = sink;
+  return inst;
+}
+
+template <CommutativeSemiring S>
+GoldenCounts RunGolden(const DistInstance<S>& inst, int protocol) {
+  AsyncProtocolOptions aopts;
+  aopts.stream.page_rows = 4;
+  aopts.stream.node_page_budget = 3;
+  Result<ProtocolResult<S>> r =
+      protocol == kTrivialSync    ? RunTrivialProtocol(inst)
+      : protocol == kForestSync   ? RunCoreForestProtocol(inst)
+      : protocol == kTrivialAsync ? RunTrivialProtocolAsync(inst, aopts)
+                                  : RunCoreForestProtocolAsync(inst, aopts);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? CountsOf(r->stats) : GoldenCounts{};
+}
+
+struct GoldenRowSpec {
+  const char* instance;
+  int protocol;
+  GoldenCounts counts;
+};
+
+// Rounds, bits, makespans, pages and per-edge utilization of every entry
+// point on fixed small instances: acyclic BCQs (root is a relation), cyclic
+// cores (synthetic core bag gathered at the sink) and free-variable
+// marginals, over line, star, grid and clique topologies.
+const GoldenRowSpec kGoldenRows[] = {
+    {"h0_line_bcq", kTrivialSync,
+     {15, 120, 0, 0, 0, 0, 0, {}}},
+    {"h0_line_bcq", kForestSync,
+     {14, 78, 0, 0, 0, 0, 0, {}}},
+    {"h0_line_bcq", kTrivialAsync,
+     {0, 1272, 139, 6, 2, 60, 60,
+      {0.57194244604316546, 0.38129496402877699, 0.1906474820143885}}},
+    {"h0_line_bcq", kForestAsync,
+     {0, 2835, 350.75, 13, 3, 121, 121,
+      {0.18567355666429081, 0.3367783321454027, 0.4878831076265146}}},
+    {"h1_star", kTrivialSync,
+     {53, 6440, 0, 0, 0, 0, 0, {}}},
+    {"h1_star", kForestSync,
+     {28, 4952, 0, 0, 0, 0, 0, {}}},
+    {"h1_star", kTrivialAsync,
+     {0, 8936, 70.628571428571405, 15, 3, 3710, 3710,
+      {0.13086569579288032, 0.13794498381877029, 0.11407766990291265,
+       0.52083333333333337}}},
+    {"h1_star", kForestAsync,
+     {0, 8269, 74.899999999999963, 15, 3, 3522, 3522,
+      {0.14228495136372316, 0.15782948693496099, 0.47320236505817292,
+       0.015258439824527948}}},
+    {"h3_grid_bcq", kTrivialSync,
+     {40, 1424, 0, 0, 0, 0, 0, {}}},
+    {"h3_grid_bcq", kForestSync,
+     {63, 2217, 0, 0, 0, 0, 0, {}}},
+    {"h3_grid_bcq", kTrivialAsync,
+     {0, 5456, 163.40000000000001, 28, 3, 946, 946,
+      {0.20807833537331702, 0, 0.20195838433292532, 0.61811505507955944, 0,
+       0.34638922888616891, 0.14749082007343942, 0.14749082007343942, 0, 0,
+       0, 0}}},
+    {"h3_grid_bcq", kForestAsync,
+     {0, 8678, 414.79999999999967, 40, 3, 1248, 1248,
+      {0.081967213114754162, 0, 0.079556412729026096, 0.24349083895853446,
+       0, 0.36981677917068506, 0.08365477338476382, 0.18756027000964337, 0,
+       0, 0, 0}}},
+    {"cycle_clique", kTrivialSync,
+     {15, 2940, 0, 0, 0, 0, 0, {}}},
+    {"cycle_clique", kForestSync,
+     {15, 2940, 0, 0, 0, 0, 0, {}}},
+    {"cycle_clique", kTrivialAsync,
+     {0, 4092, 21.114285714285714, 12, 3, 2940, 2940,
+      {0.43775372124492562, 0.46143437077131266, 0.48511502029769965, 0, 0,
+       0}}},
+    {"cycle_clique", kForestAsync,
+     {0, 4092, 21.114285714285714, 12, 3, 2940, 2940,
+      {0.43775372124492562, 0.46143437077131266, 0.48511502029769965, 0, 0,
+       0}}},
+    {"h2_clique_marginal", kTrivialSync,
+     {20, 3970, 0, 0, 0, 0, 0, {}}},
+    {"h2_clique_marginal", kForestSync,
+     {32, 8804, 0, 0, 0, 0, 0, {}}},
+    {"h2_clique_marginal", kTrivialAsync,
+     {0, 5314, 26.821917808219176, 14, 3, 3970, 3970,
+      {0.49540347293156284, 0, 0, 0.36618998978549544, 0.49540347293156284,
+       0}}},
+    {"h2_clique_marginal", kForestAsync,
+     {0, 8944, 89.123287671232887, 25, 3, 6544, 6544,
+      {0.24923147863510603, 0.18959422071933596, 0.24853980940670151, 0, 0,
+       0}}},
+    {"path_line_marginal", kTrivialSync,
+     {29, 3920, 0, 0, 0, 0, 0, {}}},
+    {"path_line_marginal", kForestSync,
+     {89, 6432, 0, 0, 0, 0, 0, {}}},
+    {"path_line_marginal", kTrivialAsync,
+     {0, 5456, 40.228571428571428, 12, 3, 2940, 2940,
+      {0.24218750000000003, 0.49680397727272735, 0.22975852272727276, 0}}},
+    {"path_line_marginal", kForestAsync,
+     {0, 6797, 97.914285714285697, 20, 3, 4350, 4350,
+      {0.17639334695068576, 0.18149985409979577, 0.1379486431281004, 0}}},
+    {"acyclic_grid", kTrivialSync,
+     {69, 15204, 0, 0, 0, 0, 0, {}}},
+    {"acyclic_grid", kForestSync,
+     {36, 11709, 0, 0, 0, 0, 0, {}}},
+    {"acyclic_grid", kTrivialAsync,
+     {0, 20676, 101.52054794520552, 29, 3, 7769, 7769,
+      {0.21798677641343941, 0, 0.33902307380920244, 0, 0.46990959384698411,
+       0.12596140871677231, 0.24207259479152607}}},
+    {"acyclic_grid", kForestAsync,
+     {0, 18763, 124.83561643835621, 40, 3, 9447, 9447,
+      {0.11439701525293532, 0, 0.18605289147371884, 0.47355426314056842, 0,
+       0.12334028311203769, 0.1321189509491934}}},
+};
+
+TEST(GoldenCounts, AllEntryPointsMatchPinnedCosts) {
+  // Wire sizes depend on the column-encoding policy; pin the default so the
+  // TOPOFAQ_ENCODING CI legs compare against the same table.
+  ScopedEncodingMode auto_encoding(EncodingMode::kAuto);
+  std::vector<std::pair<std::string, std::function<GoldenCounts(int)>>> cases;
+  auto add = [&](const char* name, auto inst) {
+    cases.emplace_back(name, [inst](int p) { return RunGolden(inst, p); });
+  };
+  add("h0_line_bcq", GoldenInstance<BooleanSemiring>(PaperH0(), {},
+                                                     LineTopology(4), 0, 900));
+  add("h1_star", GoldenInstance<NaturalSemiring>(PaperH1(), {},
+                                                 StarTopology(5), 4, 901));
+  add("h3_grid_bcq", GoldenInstance<BooleanSemiring>(
+                         PaperH3(), {}, GridTopology(3, 3), 4, 902));
+  add("cycle_clique", GoldenInstance<CountingSemiring>(
+                          CycleGraph(4), {}, CliqueTopology(4), 0, 903));
+  add("h2_clique_marginal",
+      GoldenInstance<CountingSemiring>(PaperH2(), {0, 1, 2}, CliqueTopology(4),
+                                       1, 904));
+  add("path_line_marginal", GoldenInstance<NaturalSemiring>(
+                                PathGraph(4), {0}, LineTopology(5), 2, 905));
+  {
+    Rng shape(906);
+    add("acyclic_grid", GoldenInstance<NaturalSemiring>(
+                            RandomAcyclicHypergraph(7, 3, &shape), {},
+                            GridTopology(2, 3), 5, 907));
+  }
+  size_t checked = 0;
+  for (const auto& [name, run] : cases) {
+    for (int p = kTrivialSync; p <= kForestAsync; ++p) {
+      const GoldenCounts got = run(p);
+      const GoldenRowSpec* want = nullptr;
+      for (const GoldenRowSpec& row : kGoldenRows)
+        if (name == row.instance && row.protocol == p) want = &row;
+      if (want == nullptr) {
+        ADD_FAILURE() << "no golden row; actual:\n" << GoldenRow(name, p, got);
+        continue;
+      }
+      ++checked;
+      EXPECT_TRUE(got == want->counts)
+          << "pinned:\n"
+          << GoldenRow(name, p, want->counts) << "\nactual:\n"
+          << GoldenRow(name, p, got);
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenRows));
 }
 
 }  // namespace
