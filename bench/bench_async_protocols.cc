@@ -153,7 +153,7 @@ void BenchSize(std::vector<Row>* rows, size_t n, int reps) {
   BenchPair(
       rows, "async_trivial", n, reps,
       [&](int p) {
-        return RunTrivialProtocol(inst, TrivialOptions{.parallelism = p});
+        return RunTrivialProtocol(inst, CoreForestOptions{.parallelism = p});
       },
       [&](int p) { return RunTrivialProtocolAsync(inst, AsyncOptions(p)); });
   BenchPair(
@@ -182,7 +182,7 @@ void BenchTopologies(std::vector<Row>* rows, size_t n, int reps) {
     BenchPair(
         rows, v.name, n, reps,
         [&](int p) {
-          return RunTrivialProtocol(inst, TrivialOptions{.parallelism = p});
+          return RunTrivialProtocol(inst, CoreForestOptions{.parallelism = p});
         },
         [&](int p) { return RunTrivialProtocolAsync(inst, AsyncOptions(p)); });
   }

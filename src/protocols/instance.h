@@ -44,7 +44,8 @@ struct DistInstance {
   /// mutating the instance — every protocol calls this on a const
   /// reference, so running a protocol never deep-copies the relations. The
   /// instance's own bits_per_attr / capacity_bits, when non-zero, pin the
-  /// derived values.
+  /// derived values; a negative pin (or a non-positive result) is an
+  /// InvalidArgument.
   Result<DistDerived> Derived() const {
     TOPOFAQ_RETURN_IF_ERROR(query.Validate());
     if (static_cast<int>(owners.size()) != query.hypergraph.num_edges())
@@ -65,6 +66,9 @@ struct DistInstance {
             : static_cast<int64_t>(std::max(1, query.hypergraph.MaxArity())) *
                       d.bits_per_attr +
                   S::kValueBits;
+    if (d.bits_per_attr <= 0 || d.capacity_bits <= 0)
+      return Status::InvalidArgument(
+          "bits_per_attr and capacity_bits must be positive");
     return d;
   }
 

@@ -131,7 +131,7 @@ TEST(TrivialAsync, EmptyRelationStreamsAndSolves) {
 
 TEST(TrivialAsync, ParallelismKnobKeepsAnswersBitIdentical) {
   auto inst = RandomInstance<CountingSemiring>(430, CliqueTopology(4), 40, 6);
-  TrivialOptions p1{.parallelism = 1}, p2{.parallelism = 2};
+  CoreForestOptions p1{.parallelism = 1}, p2{.parallelism = 2};
   auto s1 = RunTrivialProtocol(inst, p1);
   auto s2 = RunTrivialProtocol(inst, p2);
   auto a2 = RunTrivialProtocolAsync(inst, SmallPageOptions(2));
@@ -288,6 +288,30 @@ TEST(HighCapacity, AsyncProtocolsTakeOver) {
   EXPECT_GT(async->stats.total_bits, 0);
   EXPECT_LT(async->stats.makespan,
             static_cast<double>(baseline->stats.rounds) + 1.0);
+}
+
+// ------------------------------------------------ invalid wire parameters
+
+TEST(WireParameters, NegativePinsAreRejectedByEveryProtocol) {
+  // A negative pinned budget or width must surface as InvalidArgument from
+  // DistInstance::Derived(), not as a CHECK abort inside the async network.
+  struct Pin {
+    int bits_per_attr;
+    int64_t capacity_bits;
+  };
+  for (Pin pin : {Pin{0, -5}, Pin{-3, 0}}) {
+    auto inst = RandomInstance<BooleanSemiring>(730, LineTopology(4));
+    inst.bits_per_attr = pin.bits_per_attr;
+    inst.capacity_bits = pin.capacity_bits;
+    EXPECT_EQ(RunTrivialProtocol(inst).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunCoreForestProtocol(inst).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunTrivialProtocolAsync(inst).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunCoreForestProtocolAsync(inst).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // ------------------------------------------------------ golden cost counts
