@@ -1,24 +1,17 @@
-// Microbench for the SIMD sorted-key kernels (relation/simd.h): pairwise
-// set intersection, the leapfrog frontier step, and the gallop-closing
-// lower bound, each timed scalar-vs-SIMD on the same inputs in the same
-// run. The "speedup" field of every row is scalar_ms / simd_ms — a
-// machine-neutral ratio CI gates with an absolute floor (SIMD must beat
-// the scalar twin by >= 1.5x on the low-selectivity intersection rows; see
-// ci.yml). reference_ms holds the scalar timing so the relative
-// regression gate of check_bench_regression.py normalizes the same way as
-// the other microbenches.
+// Microbench for the SIMD sorted-key kernel on the multiway seek path
+// (relation/simd.h): the gallop-closing lower bound, timed scalar-vs-SIMD
+// on the same inputs in the same run. The "speedup" field of the row is
+// scalar_ms / simd_ms — a machine-neutral ratio CI gates with an absolute
+// floor (SIMD must beat the scalar twin by >= 1.2x; see ci.yml).
+// reference_ms holds the scalar timing so the relative regression gate of
+// check_bench_regression.py normalizes the same way as the other
+// microbenches.
 //
-// Selectivity s = fraction of a-positions whose value occurs in b. Low s
-// is the regime the frontier block-skip is built for (whole blocks retire
-// on two compares); s = 0.5 stresses the all-pairs match path and the
-// shuffle compaction.
-//
-// Every timed pair is also a differential check: scalar and SIMD outputs
-// are compared byte-for-byte and a mismatch aborts the bench.
-#include <cinttypes>
+// The timed pair is also a differential check: scalar and SIMD results are
+// compared and a mismatch aborts the bench.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -37,32 +30,15 @@ struct Row {
   double scalar_ms = 0;
 };
 
-constexpr size_t kN = 1 << 17;  // elements per side; >= 1e5 so timing is signal
+constexpr size_t kN = 1 << 17;  // array length; >= 1e5 so timing is signal
 
-/// Sorted test sets with controlled overlap: b gets even values, a takes
-/// floor(s * kN) values from b and fills the rest with odd values — so the
-/// non-shared parts are disjoint by parity and the selectivity is exact.
-struct Sets {
-  std::vector<Value> a64, b64;
-  std::vector<uint32_t> a32, b32;
-};
-
-Sets MakeSets(double sel, std::mt19937_64* rng) {
-  Sets s;
-  std::uniform_int_distribution<uint64_t> dist(0, (1ull << 30) - 1);
-  s.b64.resize(kN);
-  for (auto& v : s.b64) v = dist(*rng) * 2;
-  std::sort(s.b64.begin(), s.b64.end());
-  const size_t shared = static_cast<size_t>(sel * kN);
-  s.a64.resize(kN);
-  for (size_t i = 0; i < shared; ++i)
-    s.a64[i] = s.b64[(*rng)() % kN];
-  for (size_t i = shared; i < kN; ++i) s.a64[i] = dist(*rng) * 2 + 1;
-  std::sort(s.a64.begin(), s.a64.end());
-  // Same sets in the narrow lane domain (values < 2^31 by construction).
-  s.a32.assign(s.a64.begin(), s.a64.end());
-  s.b32.assign(s.b64.begin(), s.b64.end());
-  return s;
+/// kN sorted values drawn uniformly from [0, 2^31).
+std::vector<Value> MakeSorted(std::mt19937_64* rng) {
+  std::uniform_int_distribution<uint64_t> dist(0, (1ull << 31) - 1);
+  std::vector<Value> a(kN);
+  for (auto& v : a) v = dist(*rng);
+  std::sort(a.begin(), a.end());
+  return a;
 }
 
 void Fatal(const char* what) {
@@ -70,84 +46,10 @@ void Fatal(const char* what) {
   std::abort();
 }
 
-void BenchIntersect64(std::vector<Row>* rows, const Sets& s,
-                      const char* name, int reps) {
-  std::vector<Value> out_s(kN), out_v(kN);
-  size_t cs = 0, cv = 0;
-  const double scalar_ms = bench::TimeMs(reps, [&] {
-    cs = simd::ScalarIntersectU64(s.a64.data(), kN, s.b64.data(), kN,
-                                  out_s.data());
-  });
-  const double simd_ms = bench::TimeMs(reps, [&] {
-    cv = simd::IntersectU64(s.a64.data(), kN, s.b64.data(), kN, out_v.data(),
-                            nullptr);
-  });
-  if (cs != cv || std::memcmp(out_s.data(), out_v.data(), cs * sizeof(Value)))
-    Fatal(name);
-  rows->push_back({name, kN, cs, simd_ms, scalar_ms});
-}
-
-void BenchIntersect32(std::vector<Row>* rows, const Sets& s,
-                      const char* name, int reps) {
-  std::vector<uint32_t> out_s(kN), out_v(kN);
-  size_t cs = 0, cv = 0;
-  const double scalar_ms = bench::TimeMs(reps, [&] {
-    cs = simd::ScalarIntersectU32(s.a32.data(), kN, s.b32.data(), kN,
-                                  out_s.data());
-  });
-  const double simd_ms = bench::TimeMs(reps, [&] {
-    cv = simd::IntersectU32(s.a32.data(), kN, s.b32.data(), kN, out_v.data(),
-                            nullptr);
-  });
-  if (cs != cv ||
-      std::memcmp(out_s.data(), out_v.data(), cs * sizeof(uint32_t)))
-    Fatal(name);
-  rows->push_back({name, kN, cs, simd_ms, scalar_ms});
-}
-
-/// Drives the frontier step to exhaustion — the multiway k == 2 loop shape.
-template <typename T, typename Step>
-size_t DriveFrontier(const std::vector<T>& a, const std::vector<T>& b,
-                     Step step) {
-  size_t i = 0, j = 0, matches = 0;
-  for (;;) {
-    const simd::Frontier f = step(a.data(), i, a.size(), b.data(), j,
-                                  b.size(), static_cast<size_t>(1) << 30);
-    i = f.i;
-    j = f.j;
-    if (f.kind != simd::Frontier::kMatch) return matches;
-    ++matches;
-    ++i;
-  }
-}
-
-void BenchFrontier64(std::vector<Row>* rows, const Sets& s, const char* name,
-                     int reps) {
-  size_t ms_ = 0, mv = 0;
-  const double scalar_ms = bench::TimeMs(reps, [&] {
-    ms_ = DriveFrontier(s.a64, s.b64,
-                        [](const Value* a, size_t i, size_t an, const Value* b,
-                           size_t j, size_t bn, size_t mb) {
-                          return simd::ScalarNextMatchU64(a, i, an, b, j, bn,
-                                                          mb);
-                        });
-  });
-  const double simd_ms = bench::TimeMs(reps, [&] {
-    mv = DriveFrontier(s.a64, s.b64,
-                       [](const Value* a, size_t i, size_t an, const Value* b,
-                          size_t j, size_t bn, size_t mb) {
-                         return simd::NextMatchU64(a, i, an, b, j, bn, mb,
-                                                   nullptr);
-                       });
-  });
-  if (ms_ != mv) Fatal(name);
-  rows->push_back({name, kN, ms_, simd_ms, scalar_ms});
-}
-
 /// The gallop-closing shape: lower bounds over 128-wide windows, the span
 /// at which TrieSeek hands its binary search to simd::LowerBoundU64.
-void BenchGallop64(std::vector<Row>* rows, const Sets& s, const char* name,
-                   int reps, std::mt19937_64* rng) {
+void BenchGallop64(std::vector<Row>* rows, const std::vector<Value>& a,
+                   const char* name, int reps, std::mt19937_64* rng) {
   constexpr size_t kWindow = 128;
   constexpr size_t kProbes = 1 << 16;
   std::vector<size_t> starts(kProbes);
@@ -155,19 +57,19 @@ void BenchGallop64(std::vector<Row>* rows, const Sets& s, const char* name,
   for (size_t p = 0; p < kProbes; ++p) {
     starts[p] = (*rng)() % (kN - kWindow);
     // Key inside the window so the probe does real work.
-    keys[p] = s.a64[starts[p] + (*rng)() % kWindow];
+    keys[p] = a[starts[p] + (*rng)() % kWindow];
   }
   size_t hs = 0, hv = 0;
   const double scalar_ms = bench::TimeMs(reps, [&] {
     hs = 0;
     for (size_t p = 0; p < kProbes; ++p)
-      hs += simd::ScalarLowerBoundU64(s.a64.data(), starts[p],
+      hs += simd::ScalarLowerBoundU64(a.data(), starts[p],
                                       starts[p] + kWindow, keys[p], false);
   });
   const double simd_ms = bench::TimeMs(reps, [&] {
     hv = 0;
     for (size_t p = 0; p < kProbes; ++p)
-      hv += simd::LowerBoundU64(s.a64.data(), starts[p], starts[p] + kWindow,
+      hv += simd::LowerBoundU64(a.data(), starts[p], starts[p] + kWindow,
                                 keys[p], false, nullptr);
   });
   if (hs != hv) Fatal(name);
@@ -210,23 +112,7 @@ int main(int argc, char** argv) {
               "scalar_ms", "speedup");
   std::mt19937_64 rng(0x70F0FA9u);
   std::vector<Row> rows;
-  const struct {
-    double sel;
-    const char* suff;
-  } kSel[] = {{1e-4, "s1e4"}, {1e-3, "s1e3"}, {1e-2, "s1e2"},
-              {1e-1, "s1e1"}, {0.5, "s50"}};
-  for (const auto& sc : kSel) {
-    const Sets s = MakeSets(sc.sel, &rng);
-    char name[64];
-    std::snprintf(name, sizeof(name), "intersect64_%s", sc.suff);
-    BenchIntersect64(&rows, s, name, reps);
-    std::snprintf(name, sizeof(name), "intersect32_%s", sc.suff);
-    BenchIntersect32(&rows, s, name, reps);
-    if (sc.sel == 1e-2) {
-      BenchFrontier64(&rows, s, "frontier64_s1e2", reps);
-      BenchGallop64(&rows, s, "gallop64_w128", reps, &rng);
-    }
-  }
+  BenchGallop64(&rows, MakeSorted(&rng), "gallop64_w128", reps, &rng);
   for (const Row& r : rows)
     std::printf("%-18s %9zu %9zu %9.3f %10.3f %7.2fx\n", r.bench.c_str(), r.n,
                 r.out_rows, r.simd_ms, r.scalar_ms, r.scalar_ms / r.simd_ms);

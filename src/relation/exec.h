@@ -78,8 +78,8 @@ struct OpStats {
   /// form of its peak-materialization-is-the-output guarantee). Combined
   /// with max, not sum, so rollups stay a high-water mark.
   int64_t peak_rows = 0;
-  /// Vector blocks retired by the SIMD kernels (relation/simd.h): frontier
-  /// intersection blocks, merge-advance probes, window decodes. 0 when
+  /// Vector blocks retired by the SIMD kernels (relation/simd.h): seek
+  /// lower bounds, merge-advance probes, window decodes. 0 when
   /// TOPOFAQ_SIMD=off or the host lacks AVX2.
   int64_t simd_blocks = 0;
   /// Hot-loop iterations that were eligible for a vector kernel but ran the

@@ -8,35 +8,29 @@ namespace {
 /// Shared gallop: first position t in [lo, hi) of the column satisfying
 /// load(t) >= key (strict == false) or load(t) > key (strict == true).
 /// Probes are counted into *cmps. Templated over the element loader so the
-/// same three-phase search runs on raw Value arrays (plain columns) and on
+/// same two-phase search runs on raw Value arrays (plain columns) and on
 /// bit-packed code words (encoded columns, one word-at-a-time unpack per
-/// probe) — keys and samples are then raw codes, translated once per seek
-/// by the caller (LowerCode/UpperCode).
+/// probe) — keys are then raw codes, translated once per seek by the caller
+/// (LowerCode/UpperCode).
 ///
-/// Three phases, all maintaining the invariant "everything ≤ prev is
-/// not-past, cur is past or cur == hi", finished by one shared binary
-/// search of (prev, cur]:
+/// Both phases maintain the invariant "everything ≤ prev is not-past, cur
+/// is past or cur == hi":
 ///
-///  1. Short exponential probe from `lo` — a seek that lands d ≤
-///     kShortSeekLimit positions ahead costs O(log d) probes on lines the
-///     intersection loop usually just touched (the access pattern Leapfrog
-///     Triejoin's complexity bound relies on).
-///  2. Far seeks with a sample (`samp` non-null) descend the cache-resident
-///     sample instead: a binary search over every-kSeekSampleStride-th key
-///     whose probes hit cache, landing in a single stride-wide window of
-///     the column — a couple of lines — rather than chasing ~log2(hi - lo)
-///     dependent misses across it.
-///  3. The closing binary search prefetches both candidate next midpoints
-///     (plain columns only — packed probes land inside at most two words,
-///     already covered by the loader), overlapping each dependent probe's
-///     miss with the next. When the bracket has shrunk to a small window
-///     over a raw Value array (`raw` non-null), the remaining dependent
-///     probes are replaced by one simd::LowerBoundU64 sweep — independent
-///     4-lane compares over memory the search already pulled near cache.
+///  1. Exponential probe from `lo` — a seek that lands d positions ahead
+///     costs O(log d) probes on lines the intersection loop usually just
+///     touched (the access pattern Leapfrog Triejoin's complexity bound
+///     relies on).
+///  2. The closing binary search of (prev, cur] prefetches both candidate
+///     next midpoints (plain columns only — packed probes land inside at
+///     most two words, already covered by the loader), overlapping each
+///     dependent probe's miss with the next. When the bracket has shrunk to
+///     a small window over a raw Value array (`raw` non-null), the
+///     remaining dependent probes are replaced by one simd::LowerBoundU64
+///     sweep — independent 4-lane compares over memory the search already
+///     pulled near cache.
 template <typename Load, typename Prefetch>
-size_t Gallop(Load load, Prefetch prefetch, const Value* samp,
-              const Value* raw, int64_t* blocks, size_t lo, size_t hi,
-              uint64_t key, bool strict, int64_t* cmps) {
+size_t Gallop(Load load, Prefetch prefetch, const Value* raw, int64_t* blocks,
+              size_t lo, size_t hi, uint64_t key, bool strict, int64_t* cmps) {
   auto past = [&](uint64_t v) { return strict ? v > key : v >= key; };
   if (lo >= hi) return hi;
   // Probes accumulate in a register and publish once on exit; a per-probe
@@ -53,27 +47,6 @@ size_t Gallop(Load load, Prefetch prefetch, const Value* samp,
   size_t step = 1;
   size_t probe = lo + 1;
   while (probe < hi) {
-    if (samp != nullptr && probe - lo > kShortSeekLimit) {
-      // Far seek: switch to the sampled descent. Grid points strictly
-      // between prev and hi live at sample indices [slo, shi].
-      const size_t slo = prev / kSeekSampleStride + 1;
-      const size_t shi = (hi - 1) / kSeekSampleStride;
-      if (slo <= shi) {
-        size_t a = slo;
-        size_t b = shi + 1;
-        while (a < b) {
-          const size_t mid = a + (b - a) / 2;
-          ++probes;
-          if (past(samp[mid]))
-            b = mid;
-          else
-            a = mid + 1;
-        }
-        if (a > slo) prev = (a - 1) * kSeekSampleStride;
-        cur = (a <= shi) ? a * kSeekSampleStride : hi;
-      }
-      break;
-    }
     ++probes;
     if (past(load(probe))) {
       cur = probe;
@@ -105,8 +78,8 @@ size_t Gallop(Load load, Prefetch prefetch, const Value* samp,
   return a;
 }
 
-size_t GallopPlain(const Value* col, const Value* samp, size_t lo, size_t hi,
-                   Value key, bool strict, int64_t* cmps, int64_t* blocks) {
+size_t GallopPlain(const Value* col, size_t lo, size_t hi, Value key,
+                   bool strict, int64_t* cmps, int64_t* blocks) {
   return Gallop(
       [col](size_t i) { return col[i]; },
       [col](size_t m1, size_t m2) {
@@ -121,23 +94,23 @@ size_t GallopPlain(const Value* col, const Value* samp, size_t lo, size_t hi,
         (void)m2;
 #endif
       },
-      samp, col, blocks, lo, hi, key, strict, cmps);
+      col, blocks, lo, hi, key, strict, cmps);
 }
 
 }  // namespace
 
-size_t TrieSeek(const Value* col, const Value* samp, size_t lo, size_t hi,
-                Value key, int64_t* cmps, int64_t* blocks) {
-  return GallopPlain(col, samp, lo, hi, key, /*strict=*/false, cmps, blocks);
+size_t TrieSeek(const Value* col, size_t lo, size_t hi, Value key,
+                int64_t* cmps, int64_t* blocks) {
+  return GallopPlain(col, lo, hi, key, /*strict=*/false, cmps, blocks);
 }
 
-size_t TrieRunEnd(const Value* col, const Value* samp, size_t lo, size_t hi,
-                  Value key, int64_t* cmps, int64_t* blocks) {
-  return GallopPlain(col, samp, lo, hi, key, /*strict=*/true, cmps, blocks);
+size_t TrieRunEnd(const Value* col, size_t lo, size_t hi, Value key,
+                  int64_t* cmps, int64_t* blocks) {
+  return GallopPlain(col, lo, hi, key, /*strict=*/true, cmps, blocks);
 }
 
-size_t TrieSeekPacked(const uint64_t* words, int width, const Value* samp,
-                      size_t lo, size_t hi, uint64_t code, int64_t* cmps) {
+size_t TrieSeekPacked(const uint64_t* words, int width, size_t lo, size_t hi,
+                      uint64_t code, int64_t* cmps) {
   const uint64_t mask = PackMask(width);
   if (width <= 57) {
     // Rolling byte-addressed scan of the first few positions: leapfrog
@@ -171,8 +144,8 @@ size_t TrieSeekPacked(const uint64_t* words, int width, const Value* samp,
   // exists here.
   return Gallop(
       [words, width, mask](size_t i) { return UnpackAt(words, i, width, mask); },
-      [](size_t, size_t) {}, samp, /*raw=*/nullptr, /*blocks=*/nullptr, lo, hi,
-      code, /*strict=*/false, cmps);
+      [](size_t, size_t) {}, /*raw=*/nullptr, /*blocks=*/nullptr, lo, hi, code,
+      /*strict=*/false, cmps);
 }
 
 }  // namespace internal

@@ -24,6 +24,12 @@
 // output's own schema order — so the result is certified canonical with no
 // closing sort, like every other operator in ops.h.
 //
+// Seeks are galloping searches (TrieSeek / TrieSeekPacked) with two
+// accelerators: a dense O(1) directory over a large relation's root column
+// (MultiwayPlan::root_dirs), and a per-iterator decode cache that turns a
+// small encoded window into flat value lanes (MultiwayWalker::Level). Every
+// level, two-iterator levels included, runs the same leapfrog loop.
+//
 // With ctx->parallelism > 1 the outermost variable's intersection is cut
 // into key-aligned morsels over the smallest top-level relation
 // (MorselRun/KeyAlignedCuts, docs/kernel.md "Morsel-parallel execution");
@@ -47,42 +53,31 @@
 namespace topofaq {
 namespace internal {
 
-/// Far seeks descend through a per-column *sample*: every
-/// kSeekSampleStride-th key copied into a dense side array small enough to
-/// stay cache-resident (built once per MultiwayJoin call for columns of at
-/// least kSeekSampleMinRows rows). A sampled seek binary-searches the
-/// sample first — cached probes — and finishes inside one stride-wide
-/// window of the column (a couple of cache lines), instead of chasing
-/// ~log2(n) dependent misses across the full column. Short seeks (within
-/// kShortSeekLimit positions) keep the plain exponential gallop, which is
-/// cheaper on already-hot lines.
-inline constexpr size_t kSeekSampleStride = 64;
-inline constexpr size_t kSeekSampleMinRows = 4096;
-inline constexpr size_t kShortSeekLimit = 128;
+/// Relations with fewer rows than this get no root directory; their root
+/// seeks gallop like every other column's.
+inline constexpr size_t kRootDirMinRows = 4096;
 
 /// First position in [lo, hi) of the contiguous column array `col` whose
 /// value is >= key (galloping search; probes are counted into *cmps).
-/// `samp` is the column's seek sample, or nullptr for unsampled columns.
 /// When the vector kernels are on, the descent finishes with one
 /// simd::LowerBoundU64 sweep over the final window; its vector iterations
 /// are counted into *blocks (nullable).
-size_t TrieSeek(const Value* col, const Value* samp, size_t lo, size_t hi,
-                Value key, int64_t* cmps, int64_t* blocks = nullptr);
+size_t TrieSeek(const Value* col, size_t lo, size_t hi, Value key,
+                int64_t* cmps, int64_t* blocks = nullptr);
 
 /// First position in [lo, hi) of `col` whose value is > key: the end of the
 /// key's run when [lo, hi) is positioned at it.
-size_t TrieRunEnd(const Value* col, const Value* samp, size_t lo, size_t hi,
-                  Value key, int64_t* cmps, int64_t* blocks = nullptr);
+size_t TrieRunEnd(const Value* col, size_t lo, size_t hi, Value key,
+                  int64_t* cmps, int64_t* blocks = nullptr);
 
 /// The packed-column gallop: first position in [lo, hi) of the bit-packed
 /// code buffer `words` (codes of `width` bits) whose code is >= `code`.
 /// Encoded trie columns seek through this — the seek key is translated to
 /// code space once per seek (EncodedColumn::LowerCode/UpperCode, valid
 /// because both encodings preserve order within a column), then every
-/// gallop probe is a word-at-a-time unpack instead of a decode. `samp`
-/// holds every kSeekSampleStride-th *code* (or nullptr).
-size_t TrieSeekPacked(const uint64_t* words, int width, const Value* samp,
-                      size_t lo, size_t hi, uint64_t code, int64_t* cmps);
+/// gallop probe is a word-at-a-time unpack instead of a decode.
+size_t TrieSeekPacked(const uint64_t* words, int width, size_t lo, size_t hi,
+                      uint64_t code, int64_t* cmps);
 
 /// Returns `r` as a canonical relation whose columns follow ascending VarId
 /// order — the trie view MultiwayJoin consumes. Takes its argument by value
@@ -139,17 +134,13 @@ struct MultiwayPlan {
   std::vector<Relation<S>> rels;  ///< trie views (canonical, ascending vars)
   std::vector<VarId> vars;        ///< global variable order (ascending)
   std::vector<std::vector<Active>> levels;  ///< actives per global level
-  /// samples[rel][col]: the column's seek sample (every
-  /// kSeekSampleStride-th value — raw *codes* for an encoded column, so the
-  /// sampled descent compares in code space), empty below
-  /// kSeekSampleMinRows rows.
-  std::vector<std::vector<std::vector<Value>>> samples;
   /// root_dirs[rel]: dense O(1) seek directory for the relation's *root*
   /// column — the one column that is globally sorted over the whole
   /// relation, so a single array d with d[v] = first position whose leading
   /// key is >= v answers every seek with one cached load. Built only when
   /// the leading-key domain is dense (max key + 1 <= 4x rows) and the
-  /// relation is large; empty otherwise (seeks fall back to the gallop).
+  /// relation has at least kRootDirMinRows rows; empty otherwise (seeks
+  /// fall back to the gallop).
   /// For an encoded root column the directory is rebuilt in *code space*
   /// (d indexed by code, seeks translate through LowerCode/UpperCode first)
   /// — and since codes are dense by construction (dict codes are
@@ -157,30 +148,14 @@ struct MultiwayPlan {
   /// far more often than raw keys do.
   std::vector<std::vector<uint32_t>> root_dirs;
 
-  /// Builds the per-column seek samples and per-relation root directories;
-  /// one sequential pass each, shared read-only by all workers. Encoded
-  /// columns are sampled/indexed via CodeAt — never decoded, never through
-  /// the col() cache.
-  void BuildSeekIndexes() {
-    samples.resize(rels.size());
+  /// Builds the per-relation root directories; one sequential pass each,
+  /// shared read-only by all workers. Encoded root columns are indexed via
+  /// CodeAt — never decoded, never through the col() cache.
+  void BuildRootDirectories() {
     root_dirs.resize(rels.size());
     for (size_t i = 0; i < rels.size(); ++i) {
-      samples[i].resize(rels[i].arity());
       const size_t n = rels[i].size();
-      if (n < kSeekSampleMinRows) continue;
-      for (size_t c = 0; c < rels[i].arity(); ++c) {
-        std::vector<Value>& samp = samples[i][c];
-        if (const EncodedColumn* e = rels[i].encoded_col(c)) {
-          samp.reserve(n / kSeekSampleStride + 1);
-          for (size_t t = 0; t < n; t += kSeekSampleStride)
-            samp.push_back(e->CodeAt(t));
-          continue;
-        }
-        const ColumnView col = rels[i].col(c);
-        samp.reserve(col.size() / kSeekSampleStride + 1);
-        for (size_t t = 0; t < col.size(); t += kSeekSampleStride)
-          samp.push_back(col[t]);
-      }
+      if (n < kRootDirMinRows) continue;
       if (const EncodedColumn* e = rels[i].encoded_col(0)) {
         // Root column sorted ⇒ codes sorted (order-preserving encodings),
         // so the last code is the max. Same density guard as the plain
@@ -262,8 +237,6 @@ class MultiwayWalker {
         it.dec32_lo = 0;
         it.dec32_hi = 0;
         it.use32 = it.enc != nullptr && simd::FitsU32(*it.enc);
-        const auto& samp = plan.samples[static_cast<size_t>(a.rel)][a.col];
-        it.samp = samp.empty() ? nullptr : samp.data();
         const auto& dir = plan.root_dirs[static_cast<size_t>(a.rel)];
         it.dir = (a.col == 0 && !dir.empty()) ? dir.data() : nullptr;
         it.dir_max = it.dir ? static_cast<Value>(dir.size() - 2) : 0;
@@ -307,7 +280,6 @@ class MultiwayWalker {
     Value ebase;                  // FOR base (0 for dict)
     uint64_t emask;
     uint32_t ewidth;
-    const Value* samp;    // its seek sample (nullptr below the size floor)
     const uint32_t* dir;  // root-column dense directory (col == 0 only)
     Value dir_max;        // largest key (plain) / code (encoded) it covers
     size_t col;           // trie depth (column index) of c in rel
@@ -320,7 +292,7 @@ class MultiwayWalker {
     // so a window revisited across sibling subtrees (the same prefix run
     // re-intersected for every key of an unrelated level) decodes once.
     // When every value of the column fits 32 bits (use32) and the vector
-    // kernels are on, windows decode into `scratch32` instead — 8 frontier
+    // kernels are on, windows decode into `scratch32` instead — 8 seek
     // lanes per vector instead of 4, and a quarter of plain's cache
     // footprint; the separate cache key keeps the two modes from aliasing.
     std::vector<Value> scratch;
@@ -336,12 +308,6 @@ class MultiwayWalker {
 
   /// Largest encoded window materialized by the small-window decode cache.
   static constexpr size_t kDecodeWindow = 128;
-
-  /// Vector blocks one NextMatch call may burn before the frontier falls
-  /// back to a far seek (dense directory / sampled gallop). Small, so a
-  /// sparse intersection keeps its sub-linear seek asymptotics; a dense one
-  /// re-enters the block loop right after the landing.
-  static constexpr size_t kFrontierBlockCap = 8;
 
   /// The *value* at the iterator's head: keys cross relation boundaries in
   /// the leapfrog frontier, so they are always decoded (codes from
@@ -383,11 +349,9 @@ class MultiwayWalker {
                                  /*strict=*/false, &st_->simd_blocks);
     }
     if (it.dec != nullptr) {
-      // Materialized window: value-space gallop over the decoded scratch
-      // (window <= kDecodeWindow rows, so no sample is ever warranted).
-      return it.dec_lo + TrieSeek(it.dec, nullptr, it.lo - it.dec_lo,
-                                  it.hi - it.dec_lo, key, &st_->comparisons,
-                                  &st_->simd_blocks);
+      // Materialized window: value-space gallop over the decoded scratch.
+      return it.dec_lo + TrieSeek(it.dec, it.lo - it.dec_lo, it.hi - it.dec_lo,
+                                  key, &st_->comparisons, &st_->simd_blocks);
     }
     if (it.enc != nullptr) {
       const uint64_t target = it.enc->LowerCode(key);
@@ -398,8 +362,8 @@ class MultiwayWalker {
         const size_t g = it.dir[static_cast<size_t>(target)];
         return g <= it.lo ? it.lo : (g >= it.hi ? it.hi : g);
       }
-      return TrieSeekPacked(it.enc->words.data(), it.enc->width, it.samp,
-                            it.lo, it.hi, target, &st_->comparisons);
+      return TrieSeekPacked(it.enc->words.data(), it.enc->width, it.lo,
+                            it.hi, target, &st_->comparisons);
     }
     if (it.dir != nullptr) {
       ++st_->comparisons;
@@ -407,7 +371,7 @@ class MultiwayWalker {
       const size_t g = it.dir[static_cast<size_t>(key)];
       return g <= it.lo ? it.lo : (g >= it.hi ? it.hi : g);
     }
-    return TrieSeek(it.c, it.samp, it.lo, it.hi, key, &st_->comparisons,
+    return TrieSeek(it.c, it.lo, it.hi, key, &st_->comparisons,
                     &st_->simd_blocks);
   }
 
@@ -428,7 +392,7 @@ class MultiwayWalker {
                                  /*strict=*/true, &st_->simd_blocks);
     }
     if (it.dec != nullptr) {
-      return it.dec_lo + TrieRunEnd(it.dec, nullptr, it.lo - it.dec_lo,
+      return it.dec_lo + TrieRunEnd(it.dec, it.lo - it.dec_lo,
                                     it.hi - it.dec_lo, key, &st_->comparisons,
                                     &st_->simd_blocks);
     }
@@ -449,8 +413,8 @@ class MultiwayWalker {
         const size_t g = it.dir[static_cast<size_t>(target)];
         return g <= it.lo ? it.lo : (g >= it.hi ? it.hi : g);
       }
-      return TrieSeekPacked(it.enc->words.data(), it.enc->width, it.samp,
-                            it.lo, it.hi, target, &st_->comparisons);
+      return TrieSeekPacked(it.enc->words.data(), it.enc->width, it.lo,
+                            it.hi, target, &st_->comparisons);
     }
     if (it.dir != nullptr) {
       ++st_->comparisons;
@@ -458,13 +422,12 @@ class MultiwayWalker {
       const size_t g = it.dir[static_cast<size_t>(key) + 1];
       return g <= it.lo ? it.lo : (g >= it.hi ? it.hi : g);
     }
-    return TrieRunEnd(it.c, it.samp, it.lo, it.hi, key, &st_->comparisons,
+    return TrieRunEnd(it.c, it.lo, it.hi, key, &st_->comparisons,
                       &st_->simd_blocks);
   }
 
   void Level(size_t l, SemiringValue acc) {
     std::vector<Iter>& its = its_[l];
-    const size_t k = its.size();
     for (Iter& it : its) {
       const auto [a, b] = rng_[static_cast<size_t>(it.rel)][it.col];
       if (a == b) return;
@@ -505,108 +468,23 @@ class MultiwayWalker {
         if (it.lo == it.hi) return;
       }
     }
-    Value maxkey = Key(its[0]);
-    for (size_t t = 1; t < k; ++t) maxkey = std::max(maxkey, Key(its[t]));
+    Value maxkey = 0;
+    for (const Iter& it : its) maxkey = std::max(maxkey, Key(it));
 
     while (true) {
       // Leapfrog: seek every iterator below the current frontier key up to
       // it; any overshoot raises the frontier and rescans until stable.
-      if (k == 2) {
-        // Two-iterator levels (every level of a k-cycle query) collapse to
-        // the classic two-pointer intersection. When both sides expose
-        // contiguous lanes — plain column arrays, or decoded windows (u32
-        // windows pair only with u32 windows; values, never codes, cross
-        // relations) — the pointer chase becomes block intersects
-        // (simd::NextMatch*): whole vector blocks retire per compare, and
-        // the per-call block cap hands sparse stretches back to the far
-        // seeks (dense directory / sampled gallop) so the leapfrog bound
-        // survives. Match positions equal the scalar walk's exactly, so
-        // output bytes are identical with the kernels on or off.
-        Iter& i0 = its[0];
-        Iter& i1 = its[1];
-        const uint32_t* n0 = i0.dec32;
-        const uint32_t* n1 = i1.dec32;
-        const Value* a0 = i0.c != nullptr ? i0.c : i0.dec;
-        const Value* a1 = i1.c != nullptr ? i1.c : i1.dec;
-        if (simd::Available() && n0 != nullptr && n1 != nullptr) {
-          const size_t off0 = i0.dec32_lo;
-          const size_t off1 = i1.dec32_lo;
-          while (true) {
-            const simd::Frontier f = simd::NextMatchU32(
-                n0, i0.lo - off0, i0.hi - off0, n1, i1.lo - off1,
-                i1.hi - off1, kFrontierBlockCap, &st_->simd_blocks);
-            ++st_->seeks;
-            ++st_->comparisons;
-            i0.lo = off0 + f.i;
-            i1.lo = off1 + f.j;
-            if (f.kind == simd::Frontier::kMatch) {
-              maxkey = n0[f.i];
-              break;
-            }
-            if (f.kind == simd::Frontier::kExhausted) return;
-            if (f.kind == simd::Frontier::kSeekA) {
-              i0.lo = Seek(i0, Key(i1));
-              if (i0.lo == i0.hi) return;
-            } else {
-              i1.lo = Seek(i1, Key(i0));
-              if (i1.lo == i1.hi) return;
-            }
-          }
-        } else if (simd::Available() && a0 != nullptr && a1 != nullptr) {
-          const size_t off0 = i0.c != nullptr ? 0 : i0.dec_lo;
-          const size_t off1 = i1.c != nullptr ? 0 : i1.dec_lo;
-          while (true) {
-            const simd::Frontier f = simd::NextMatchU64(
-                a0, i0.lo - off0, i0.hi - off0, a1, i1.lo - off1,
-                i1.hi - off1, kFrontierBlockCap, &st_->simd_blocks);
-            ++st_->seeks;
-            ++st_->comparisons;
-            i0.lo = off0 + f.i;
-            i1.lo = off1 + f.j;
-            if (f.kind == simd::Frontier::kMatch) {
-              maxkey = a0[f.i];
-              break;
-            }
-            if (f.kind == simd::Frontier::kExhausted) return;
-            if (f.kind == simd::Frontier::kSeekA) {
-              i0.lo = Seek(i0, Key(i1));
-              if (i0.lo == i0.hi) return;
-            } else {
-              i1.lo = Seek(i1, Key(i0));
-              if (i1.lo == i1.hi) return;
-            }
-          }
-        } else {
-          if (simd::Available()) ++st_->scalar_fallbacks;
-          Value k0 = Key(i0);
-          Value k1 = Key(i1);
-          while (k0 != k1) {
-            ++st_->comparisons;
-            if (k0 < k1) {
-              i0.lo = Seek(i0, k1);
-              if (i0.lo == i0.hi) return;
-              k0 = Key(i0);
-            } else {
-              i1.lo = Seek(i1, k0);
-              if (i1.lo == i1.hi) return;
-              k1 = Key(i1);
-            }
-          }
-          maxkey = k0;
-        }
-      } else {
-        bool changed = true;
-        while (changed) {
-          changed = false;
-          for (Iter& it : its) {
-            ++st_->comparisons;
-            if (Key(it) < maxkey) {
-              it.lo = Seek(it, maxkey);
-              if (it.lo == it.hi) return;
-              if (Key(it) > maxkey) {
-                maxkey = Key(it);
-                changed = true;
-              }
+      bool changed = true;
+      while (changed) {
+        changed = false;
+        for (Iter& it : its) {
+          ++st_->comparisons;
+          if (Key(it) < maxkey) {
+            it.lo = Seek(it, maxkey);
+            if (it.lo == it.hi) return;
+            if (Key(it) > maxkey) {
+              maxkey = Key(it);
+              changed = true;
             }
           }
         }
@@ -717,7 +595,7 @@ Relation<S> MultiwayJoinImpl(std::vector<Relation<S>> inputs,
                                     c + 1 == s.arity()});
     }
   }
-  plan.BuildSeekIndexes();
+  plan.BuildRootDirectories();
 
   // Morsel cut source: the smallest relation intersecting at the outermost
   // level. Its distinct leading keys partition the output's key space, so

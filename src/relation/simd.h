@@ -1,12 +1,11 @@
 // SIMD kernels for sorted-key work (docs/kernel.md, "SIMD intersection
 // layer").
 //
-// Every hot cross-relation loop in the kernel — the leapfrog frontier of the
-// multiway join, the sort-merge Join/Semijoin advance loops, the closing
-// window of a galloping seek — is a scan over one or two *sorted* contiguous
-// arrays. This header is the one kernel library those loops call into:
-// block-wise lower bound, merge advance, pairwise frontier intersection with
-// shuffle-based compaction, and a vectorized window decode that unpacks
+// The kernel's hot sorted-key loops — the sort-merge Join/Semijoin advance
+// loops, the closing window of a galloping trie seek, the multiway join's
+// decoded-window seeks — are scans over one *sorted* contiguous array. This
+// header is the one kernel library those loops call into: block-wise lower
+// bound, merge advance, and a vectorized window decode that unpacks
 // dict/FOR code spaces (encoding.h) straight into flat 32- or 64-bit lanes.
 //
 // Dispatch rules:
@@ -29,13 +28,13 @@
 // Code-space contract: codes from different columns are never compared —
 // cross-relation intersection always runs on decoded *values*. What the
 // SIMD layer adds is (a) vectorized decode of small windows (DecodeWindow*)
-// so encoded iterators intersect over flat lanes, and (b) a narrow u32 lane
+// so encoded iterators seek over flat lanes, and (b) a narrow u32 lane
 // mode: when every value of an encoded column fits 32 bits (FitsU32 — the
 // common case for dictionary/FOR columns, whose whole point is a small
-// domain), windows decode to uint32_t and the frontier runs 8 lanes per
-// vector instead of 4. Plain columns stay u64 (no narrowing copy is ever
-// made for them); the asymmetry is why the compressed path can *beat* plain
-// on intersection-heavy shapes instead of merely keeping up.
+// domain), windows decode to uint32_t and their lower bounds run 8 lanes
+// per vector instead of 4. Plain columns stay u64 (no narrowing copy is
+// ever made for them); the asymmetry is why the compressed path can *beat*
+// plain on intersection-heavy shapes instead of merely keeping up.
 #ifndef TOPOFAQ_RELATION_SIMD_H_
 #define TOPOFAQ_RELATION_SIMD_H_
 
@@ -97,44 +96,6 @@ size_t LowerBoundU32(const uint32_t* a, size_t lo, size_t hi, uint32_t key,
 size_t AdvanceU64(const Value* a, size_t i, size_t n, Value key, bool strict,
                   int64_t* blocks);
 
-/// One leapfrog frontier step between two sorted ranges.
-struct Frontier {
-  enum Kind {
-    kMatch,      ///< a[i] == b[j]: the next common key, leftmost occurrences
-    kExhausted,  ///< one side ran out (i == an or j == bn): the intersection
-                 ///< is complete. The other side's position is unspecified —
-                 ///< the vector body may retire a whole trailing block the
-                 ///< scalar walk would have entered — so callers must treat
-                 ///< kExhausted as a pure stop signal.
-    kSeekA,      ///< block budget spent with a lagging: far-seek a to b[j]
-    kSeekB,      ///< block budget spent with b lagging: far-seek b to a[i]
-  };
-  size_t i, j;
-  Kind kind;
-};
-
-/// Advances (i, j) to the leftmost pair with a[i] == b[j], scanning at most
-/// `max_blocks` vector blocks per call. The block scan is the dense-overlap
-/// fast path; when the budget runs out the caller falls back to its far-seek
-/// machinery (dense directories / sampled gallops), which preserves the
-/// leapfrog complexity bound on sparse intersections. kMatch results are
-/// positionally equal to the scalar two-pointer walk; see Frontier::Kind for
-/// the kExhausted position caveat.
-Frontier NextMatchU64(const Value* a, size_t i, size_t an, const Value* b,
-                      size_t j, size_t bn, size_t max_blocks, int64_t* blocks);
-Frontier NextMatchU32(const uint32_t* a, size_t i, size_t an,
-                      const uint32_t* b, size_t j, size_t bn,
-                      size_t max_blocks, int64_t* blocks);
-
-/// Full pairwise sorted-set intersection with shuffle-based compaction:
-/// writes, in order, the value of every a-position whose value occurs in b
-/// (so duplicated a values emit once per a-position — semijoin
-/// multiplicity). `out` must have room for an entries. Returns the count.
-size_t IntersectU64(const Value* a, size_t an, const Value* b, size_t bn,
-                    Value* out, int64_t* blocks);
-size_t IntersectU32(const uint32_t* a, size_t an, const uint32_t* b,
-                    size_t bn, uint32_t* out, int64_t* blocks);
-
 // Scalar reference twins: always the scalar body, regardless of toggle or
 // CPU — the differential oracle for tests/simd_kernel_test.cc and the
 // scalar leg of bench_intersect.
@@ -144,16 +105,6 @@ size_t ScalarLowerBoundU32(const uint32_t* a, size_t lo, size_t hi,
                            uint32_t key, bool strict);
 size_t ScalarAdvanceU64(const Value* a, size_t i, size_t n, Value key,
                         bool strict);
-Frontier ScalarNextMatchU64(const Value* a, size_t i, size_t an,
-                            const Value* b, size_t j, size_t bn,
-                            size_t max_blocks);
-Frontier ScalarNextMatchU32(const uint32_t* a, size_t i, size_t an,
-                            const uint32_t* b, size_t j, size_t bn,
-                            size_t max_blocks);
-size_t ScalarIntersectU64(const Value* a, size_t an, const Value* b,
-                          size_t bn, Value* out);
-size_t ScalarIntersectU32(const uint32_t* a, size_t an, const uint32_t* b,
-                          size_t bn, uint32_t* out);
 
 /// True iff every decoded value of `e` fits uint32_t, so windows of it may
 /// decode into the narrow u32 lane mode.

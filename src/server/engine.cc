@@ -408,6 +408,7 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
   if (!admit.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.rejected;
+    m_.admission_rejected->Add();
     return admit;
   }
 

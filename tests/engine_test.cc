@@ -245,6 +245,48 @@ TEST(Engine, AdmissionRejectsDeepJoinTreesByWidth) {
   EXPECT_TRUE(engine.Solve(shallow).ok());
 }
 
+TEST(Engine, RegistryRejectionCounterMatchesEngineStats) {
+  // The registry is process-wide, so compare increases, not absolutes.
+  const obs::Counter& reg = obs::MetricsRegistry::Shared().GetCounter(
+      "engine.admission.rejected");
+  EngineOptions opts;
+  opts.admission.max_predicted_output_rows = 200;
+  Engine engine(opts);
+  const uint64_t reg0 = reg.value();
+  const EngineStats st0 = engine.stats();
+
+  // One Submit rejection and one Subscribe rejection of the same big query.
+  auto big = RandomQuery<NaturalSemiring>(PathGraph(2), 3000, 200, 61, {0, 1});
+  auto solved = engine.Solve(big);
+  ASSERT_FALSE(solved.ok());
+  EXPECT_EQ(solved.status().code(), StatusCode::kResourceExhausted);
+  QueryRequest big_req;
+  big_req.query = big;
+  auto refused = engine.Subscribe(std::move(big_req));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+
+  // One delta rejection against a small standing query.
+  QueryRequest small_req;
+  small_req.query =
+      RandomQuery<NaturalSemiring>(PathGraph(2), 8, 200, 62, {0, 1});
+  auto ss = engine.Subscribe(std::move(small_req));
+  ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+  Delta<NaturalSemiring> hot;
+  hot.adds = Relation<NaturalSemiring>(Schema(std::vector<VarId>{0, 1}));
+  for (uint64_t i = 0; i < 600; ++i) hot.adds.Add({5, i % 200}, 1);
+  auto delta = (*ss)->ApplyDelta(0, std::move(hot));
+  ASSERT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kResourceExhausted);
+
+  const EngineStats st1 = engine.stats();
+  EXPECT_EQ(st1.rejected - st0.rejected, 2);
+  EXPECT_EQ(st1.deltas_rejected - st0.deltas_rejected, 1);
+  EXPECT_EQ(static_cast<int64_t>(reg.value() - reg0),
+            (st1.rejected + st1.deltas_rejected) -
+                (st0.rejected + st0.deltas_rejected));
+}
+
 TEST(Engine, ProfileRelationMeasuresLeadingRuns) {
   Relation<NaturalSemiring> r{Schema(std::vector<VarId>{0, 1})};
   for (Value k : {0, 0, 0, 1, 2, 2})

@@ -226,10 +226,10 @@ TEST(Routing, TwoRelationComponentsStayPairwise) {
 
 TEST(MultiwayJoin, HugeLeadingKeysSkipTheRootDirectory) {
   // Leading keys at the top of the Value domain (including UINT64_MAX) must
-  // not wrap the root-directory density check in BuildSeekIndexes; the join
-  // falls back to galloping seeks and stays correct.
+  // not wrap the root-directory density check in BuildRootDirectories; the
+  // join falls back to galloping seeks and stays correct.
   using NRel = Relation<NaturalSemiring>;
-  const size_t n = 5000;  // above kSeekSampleMinRows so indexes are built
+  const size_t n = 5000;  // above kRootDirMinRows so the check runs
   NRel r{Schema({0, 1})}, s{Schema({1, 2})}, t{Schema({0, 2})};
   for (size_t i = 0; i < n; ++i) {
     const Value hi = ~Value{0} - static_cast<Value>(i % 97);

@@ -8,8 +8,7 @@
 // as invisible.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "bit_identity.h"
@@ -87,124 +86,6 @@ TEST(SimdKernelTest, AdvanceMatchesScalar) {
   }
 }
 
-TEST(SimdKernelTest, IntersectMatchesScalar) {
-  ScopedSimdMode on(true);
-  Rng rng(2026);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const uint64_t dom = 1 + rng.NextU64(96);
-    const auto a64 = RandomSorted<Value>(&rng, 70, dom);
-    const auto b64 = RandomSorted<Value>(&rng, 70, dom);
-    std::vector<Value> os(a64.size()), ov(a64.size());
-    const size_t cs = simd::ScalarIntersectU64(a64.data(), a64.size(),
-                                               b64.data(), b64.size(),
-                                               os.data());
-    const size_t cv = simd::IntersectU64(a64.data(), a64.size(), b64.data(),
-                                         b64.size(), ov.data(), nullptr);
-    ASSERT_EQ(cs, cv) << "trial " << trial;
-    EXPECT_EQ(0, std::memcmp(os.data(), ov.data(), cs * sizeof(Value)))
-        << "trial " << trial;
-
-    const auto a32 = RandomSorted<uint32_t>(&rng, 70, dom);
-    const auto b32 = RandomSorted<uint32_t>(&rng, 70, dom);
-    std::vector<uint32_t> ps(a32.size()), pv(a32.size());
-    const size_t ds = simd::ScalarIntersectU32(a32.data(), a32.size(),
-                                               b32.data(), b32.size(),
-                                               ps.data());
-    const size_t dv = simd::IntersectU32(a32.data(), a32.size(), b32.data(),
-                                         b32.size(), pv.data(), nullptr);
-    ASSERT_EQ(ds, dv) << "trial " << trial;
-    EXPECT_EQ(0, std::memcmp(ps.data(), pv.data(), ds * sizeof(uint32_t)))
-        << "trial " << trial;
-  }
-}
-
-/// With an effectively unlimited block budget neither body ever returns
-/// kSeek, so every kMatch must be *positionally* identical to the scalar
-/// two-pointer walk; on kExhausted both must have drained a side (the other
-/// side's position is unspecified — see Frontier::Kind).
-TEST(SimdKernelTest, NextMatchUnlimitedBudgetIsExact) {
-  ScopedSimdMode on(true);
-  Rng rng(2027);
-  const size_t unlimited = static_cast<size_t>(1) << 30;
-  for (int trial = 0; trial < 2000; ++trial) {
-    const uint64_t dom = 1 + rng.NextU64(96);
-    const auto a = RandomSorted<Value>(&rng, 70, dom);
-    const auto b = RandomSorted<Value>(&rng, 70, dom);
-    size_t i = 0, j = 0;
-    for (;;) {
-      const simd::Frontier fv = simd::NextMatchU64(
-          a.data(), i, a.size(), b.data(), j, b.size(), unlimited, nullptr);
-      const simd::Frontier fs = simd::ScalarNextMatchU64(
-          a.data(), i, a.size(), b.data(), j, b.size(), unlimited);
-      ASSERT_EQ(fv.kind, fs.kind) << "trial " << trial;
-      if (fv.kind != simd::Frontier::kMatch) {
-        ASSERT_EQ(fv.kind, simd::Frontier::kExhausted) << "trial " << trial;
-        EXPECT_TRUE(fv.i == a.size() || fv.j == b.size()) << "trial " << trial;
-        EXPECT_TRUE(fs.i == a.size() || fs.j == b.size()) << "trial " << trial;
-        break;
-      }
-      ASSERT_EQ(fv.i, fs.i) << "trial " << trial;
-      ASSERT_EQ(fv.j, fs.j) << "trial " << trial;
-      i = fv.i + 1;
-      j = fv.j + 1;
-    }
-  }
-}
-
-/// With small budgets the two bodies may hand back kSeek at different
-/// positions — but a caller that answers every kSeek with a far seek (as the
-/// multiway frontier does) must recover the identical match sequence from
-/// either body, because neither is allowed to skip a possible match.
-template <typename Step>
-std::vector<std::pair<Value, Value>> DriveToFixpoint(
-    const std::vector<Value>& a, const std::vector<Value>& b,
-    size_t max_blocks, Step step) {
-  std::vector<std::pair<Value, Value>> matches;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const simd::Frontier f =
-        step(a.data(), i, a.size(), b.data(), j, b.size(), max_blocks);
-    i = f.i;
-    j = f.j;
-    if (f.kind == simd::Frontier::kMatch) {
-      matches.emplace_back(a[i], b[j]);
-      ++i;
-      ++j;
-    } else if (f.kind == simd::Frontier::kExhausted) {
-      break;
-    } else if (f.kind == simd::Frontier::kSeekA) {
-      i = simd::ScalarLowerBoundU64(a.data(), i, a.size(), b[j], false);
-    } else {
-      j = simd::ScalarLowerBoundU64(b.data(), j, b.size(), a[i], false);
-    }
-  }
-  return matches;
-}
-
-TEST(SimdKernelTest, NextMatchCappedBudgetSameMatches) {
-  ScopedSimdMode on(true);
-  Rng rng(2028);
-  for (int trial = 0; trial < 1000; ++trial) {
-    const uint64_t dom = 1 + rng.NextU64(200);
-    const auto a = RandomSorted<Value>(&rng, 120, dom);
-    const auto b = RandomSorted<Value>(&rng, 120, dom);
-    const size_t cap = 1 + rng.NextU64(8);
-    const auto mv = DriveToFixpoint(
-        a, b, cap,
-        [](const Value* x, size_t i, size_t xn, const Value* y, size_t j,
-           size_t yn, size_t mb) {
-          return simd::NextMatchU64(x, i, xn, y, j, yn, mb, nullptr);
-        });
-    const auto ms = DriveToFixpoint(
-        a, b, cap,
-        [](const Value* x, size_t i, size_t xn, const Value* y, size_t j,
-           size_t yn, size_t mb) {
-          return simd::ScalarNextMatchU64(x, i, xn, y, j, yn, mb);
-        });
-    EXPECT_EQ(mv, ms) << "trial " << trial << " cap " << cap;
-  }
-}
-
 TEST(SimdKernelTest, DecodeWindowMatchesDecodeInto) {
   ScopedSimdMode on(true);
   Rng rng(2029);
@@ -269,44 +150,55 @@ TEST(SimdKernelTest, ScalarModeForcesScalarBodies) {
 
 /// The end-to-end contract: the multiway join's relation output is
 /// bit-identical with the vector kernels on and off, for every encoding
-/// mode and parallelism level — the SIMD layer is pure mechanism.
+/// mode and parallelism level — the SIMD layer is pure mechanism. Every
+/// level of the triangle and the 4-cycle intersects exactly two iterators,
+/// so the general leapfrog loop's two-iterator case is byte-compared here.
 TEST(SimdKernelTest, MultiwayBitIdenticalSimdOnOff) {
   using S = CountingSemiring;
-  const Hypergraph tri(3, {{0, 1}, {1, 2}, {0, 2}});
-  for (const EncodingMode mode :
-       {EncodingMode::kAuto, EncodingMode::kPlain, EncodingMode::kForceDict,
-        EncodingMode::kForceFor}) {
-    ScopedEncodingMode em(mode);
-    for (const uint64_t seed : {7u, 8u}) {
-      std::vector<Relation<S>> rels;
-      for (int e = 0; e < tri.num_edges(); ++e)
-        rels.push_back(RandomRelation<S>(tri.edge(e), 6000, 700,
-                                         seed + static_cast<uint64_t>(e),
-                                         /*skew=*/2));
-      for (const int par : {1, 3}) {
-        SCOPED_TRACE(InstanceLabel("triangle mode=" +
-                                       std::to_string(static_cast<int>(mode)) +
-                                       " par=" + std::to_string(par),
-                                   seed));
-        ExecContext con;
-        con.parallelism = par;
-        ExecContext coff;
-        coff.parallelism = par;
-        Relation<S> ron, roff;
-        {
-          ScopedSimdMode on(true);
-          ron = MultiwayJoin(rels, &con);
-        }
-        {
-          ScopedSimdMode off(false);
-          roff = MultiwayJoin(rels, &coff);
-        }
-        EXPECT_TRUE(BytesEqual(ron, roff));
-        // The forced-scalar leg must record its fallbacks; the vector leg
-        // must have retired blocks whenever it was actually available.
-        if (simd::Available()) {
-          EXPECT_GT(con.multiway.simd_blocks + con.multiway.scalar_fallbacks,
-                    0);
+  const struct {
+    const char* name;
+    Hypergraph h;
+  } kShapes[] = {
+      {"triangle", Hypergraph(3, {{0, 1}, {1, 2}, {0, 2}})},
+      {"cycle4", Hypergraph(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}})},
+  };
+  for (const auto& shape : kShapes) {
+    for (const EncodingMode mode :
+         {EncodingMode::kAuto, EncodingMode::kPlain, EncodingMode::kForceDict,
+          EncodingMode::kForceFor}) {
+      ScopedEncodingMode em(mode);
+      for (const uint64_t seed : {7u, 8u}) {
+        std::vector<Relation<S>> rels;
+        for (int e = 0; e < shape.h.num_edges(); ++e)
+          rels.push_back(RandomRelation<S>(shape.h.edge(e), 6000, 700,
+                                           seed + static_cast<uint64_t>(e),
+                                           /*skew=*/2));
+        for (const int par : {1, 3}) {
+          SCOPED_TRACE(InstanceLabel(
+              std::string(shape.name) +
+                  " mode=" + std::to_string(static_cast<int>(mode)) +
+                  " par=" + std::to_string(par),
+              seed));
+          ExecContext con;
+          con.parallelism = par;
+          ExecContext coff;
+          coff.parallelism = par;
+          Relation<S> ron, roff;
+          {
+            ScopedSimdMode on(true);
+            ron = MultiwayJoin(rels, &con);
+          }
+          {
+            ScopedSimdMode off(false);
+            roff = MultiwayJoin(rels, &coff);
+          }
+          EXPECT_TRUE(BytesEqual(ron, roff));
+          // The vector leg must have retired blocks whenever it was
+          // actually available.
+          if (simd::Available()) {
+            EXPECT_GT(con.multiway.simd_blocks + con.multiway.scalar_fallbacks,
+                      0);
+          }
         }
       }
     }
