@@ -27,12 +27,16 @@
 //    encoded vs plain inputs and must stay ~1x (encodings never slow the
 //    hot paths). Rows carry bytes_resident so the memory effect is in the
 //    committed baseline, not just the timings.
+//  * sort_perm: the radix permutation sort under every canonical order
+//    (relation/parallel.h) on 1e6 rows of two shuffled 20-bit columns, vs
+//    the comparator sort it replaced (CI floors the speedup).
 //
 // Flags: --quick (CI sizes), --parallelism N / -j N (default: every core),
 // --out PATH (JSON destination). Each bench runs the kernel at parallelism 1
 // and at the requested parallelism and CHECKs the outputs byte-identical.
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -42,6 +46,7 @@
 #include "relation/exec.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
+#include "relation/parallel.h"
 #include "relation/reference_ops.h"
 #include "util/rng.h"
 
@@ -333,6 +338,42 @@ void BenchTriangleSkew(std::vector<Row>* rows, size_t n, int reps) {
   Report(rows, "triangle_skew", n, out.size(), k1, kp, h, resident);
 }
 
+/// sort_perm: the kernel's one permutation sort (RadixSortPerm) on two
+/// shuffled 20-bit key columns, against the comparator sort it replaced as
+/// the in-run reference — std::sort of the identity under the lexicographic
+/// column comparator with the row-id tiebreak. Both must produce the same
+/// permutation.
+void BenchSortPerm(std::vector<Row>* rows, size_t n, int reps) {
+  Rng rng(83 + n);
+  std::vector<Value> a(n), b(n);
+  for (size_t i = 0; i < n; ++i) {
+    a[i] = rng.NextU64(1 << 20);
+    b[i] = rng.NextU64(1 << 20);
+  }
+  const std::vector<ColView> keys{{a.data(), nullptr, 0},
+                                  {b.data(), nullptr, 0}};
+  auto radix = [&](int p, std::vector<size_t>* perm) {
+    ExecContext cx;
+    cx.parallelism = p;
+    return TimeMs(reps, [&] { RadixSortPerm(keys, n, cx, perm); });
+  };
+  std::vector<size_t> perm1, permp, ref(n);
+  const double k1 = radix(1, &perm1);
+  const double kp = g_parallelism > 1 ? radix(g_parallelism, &permp) : k1;
+  const double h = TimeMs(reps, [&] {
+    std::iota(ref.begin(), ref.end(), size_t{0});
+    std::sort(ref.begin(), ref.end(), [&](size_t x, size_t y) {
+      if (a[x] != a[y]) return a[x] < a[y];
+      if (b[x] != b[y]) return b[x] < b[y];
+      return x < y;
+    });
+  });
+  TOPOFAQ_CHECK_MSG(perm1 == ref, "radix sort != comparator sort");
+  TOPOFAQ_CHECK_MSG(g_parallelism == 1 || permp == ref,
+                    "parallel radix sort != comparator sort");
+  Report(rows, "sort_perm", n, n, k1, kp, h);
+}
+
 /// probe: gather full rows at random row ids — the row-major-friendly
 /// pattern, reported honestly (columnar pays one line per column here).
 void BenchProbe(std::vector<Row>* rows, size_t n, int reps) {
@@ -423,6 +464,8 @@ int main(int argc, char** argv) {
       if (n == 100000) topofaq::BenchTriangleSkew(&rows, n, reps);
     }
   }
+  // The sort row runs at 1e6 in both modes: the CI floor gates it there.
+  topofaq::BenchSortPerm(&rows, 1000000, 3);
   topofaq::WriteJson(rows, out_path);
   return 0;
 }

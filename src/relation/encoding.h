@@ -451,19 +451,6 @@ struct ColView {
     return plain != nullptr ? plain[i] == plain[j]
                             : enc->CodeAt(offset + i) == enc->CodeAt(offset + j);
   }
-  /// Same-column ordered compare without decoding: both encodings preserve
-  /// value order within a column.
-  int CompareAt(size_t i, size_t j) const {
-    uint64_t a, b;
-    if (plain != nullptr) {
-      a = plain[i];
-      b = plain[j];
-    } else {
-      a = enc->CodeAt(offset + i);
-      b = enc->CodeAt(offset + j);
-    }
-    return a < b ? -1 : (a > b ? 1 : 0);
-  }
   ColView Sub(size_t begin) const {
     if (plain != nullptr) return ColView{plain + begin, nullptr, 0};
     return ColView{nullptr, enc, offset + begin};
@@ -479,9 +466,6 @@ struct PlainAccess {
   using Col = const Value*;
   static Value At(Col c, size_t i) { return c[i]; }
   static bool EqualAt(Col c, size_t i, size_t j) { return c[i] == c[j]; }
-  static int CompareAt(Col c, size_t i, size_t j) {
-    return c[i] < c[j] ? -1 : (c[i] > c[j] ? 1 : 0);
-  }
 };
 
 /// View access — decodes on the fly; same kernel bodies, encoded columns.
@@ -490,9 +474,6 @@ struct EncodedAccess {
   static Value At(const Col& c, size_t i) { return c.At(i); }
   static bool EqualAt(const Col& c, size_t i, size_t j) {
     return c.EqualAt(i, j);
-  }
-  static int CompareAt(const Col& c, size_t i, size_t j) {
-    return c.CompareAt(i, j);
   }
 };
 

@@ -57,9 +57,9 @@ struct OpStats {
   int64_t calls = 0;
   int64_t rows_in = 0;
   int64_t rows_out = 0;
-  /// Key comparisons performed: merge/probe steps counted exactly, plus the
-  /// deterministic n·ceil(log2 n) bound per permutation sort (sorts run on
-  /// the worker pool, where per-invocation comparator counting would race).
+  /// Key comparisons performed by merge, probe, group-scan and search steps,
+  /// counted exactly. Permutation sorts add nothing: they are radix sorts
+  /// (RadixSortPerm), which compare no keys; `sorts` counts them instead.
   int64_t comparisons = 0;
   /// Permutation sorts that actually ran.
   int64_t sorts = 0;
@@ -176,14 +176,12 @@ class ExecContext {
   std::vector<const Value*> cols_b;
   std::vector<const Value*> cols_c;
   std::vector<const Value*> cols_d;
-  std::vector<const Value*> cols_e;
   // ColView counterparts of cols_* for the encoded kernel instantiations
   // (relations with compressed columns traverse views, never raw pointers).
   std::vector<ColView> vcols_a;
   std::vector<ColView> vcols_b;
   std::vector<ColView> vcols_c;
   std::vector<ColView> vcols_d;
-  std::vector<ColView> vcols_e;
   std::vector<Value> row;
   /// Open-addressing run directory (key hash → key-run start + 1), serial
   /// path. The parallel path shards the directory instead (table_shards).
@@ -191,6 +189,11 @@ class ExecContext {
   /// Per-shard run directories for the parallel path: shard s covers one
   /// key-aligned range of the probed side and is built by one worker.
   std::vector<std::vector<uint64_t>> table_shards;
+  /// RadixSortPerm's buffers: the second (key digits, row id) sort-word
+  /// buffer (the output permutation is the first) and the per-chunk digit
+  /// histograms.
+  std::vector<size_t> radix_words;
+  std::vector<size_t> radix_hist;
 
   /// The i-th worker's child context, created on first use and reused across
   /// operator calls. Worker contexts always have parallelism == 1 (no nested

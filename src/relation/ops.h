@@ -19,7 +19,7 @@
 // loads, byte-for-byte the pre-encoding code paths) or EncodedAccess
 // (ColView, decoding per access) — and each public operator dispatches on
 // whether any input column is encoded. Same-column work (run boundaries,
-// group detection, key-order sorts, morsel cut alignment) compares raw
+// group detection, key-order radix sorts, morsel cut alignment) reads raw
 // codes without decoding — valid because both encodings preserve order and
 // equality within a column; only cross-relation key comparisons and hashes
 // decode, and rows decode at emission into the RelationBuilder.
@@ -113,7 +113,6 @@ struct ScratchCols<PlainAccess> {
   static std::vector<const Value*>& b(ExecContext& cx) { return cx.cols_b; }
   static std::vector<const Value*>& c(ExecContext& cx) { return cx.cols_c; }
   static std::vector<const Value*>& d(ExecContext& cx) { return cx.cols_d; }
-  static std::vector<const Value*>& e(ExecContext& cx) { return cx.cols_e; }
 };
 template <>
 struct ScratchCols<EncodedAccess> {
@@ -121,7 +120,6 @@ struct ScratchCols<EncodedAccess> {
   static std::vector<ColView>& b(ExecContext& cx) { return cx.vcols_b; }
   static std::vector<ColView>& c(ExecContext& cx) { return cx.vcols_c; }
   static std::vector<ColView>& d(ExecContext& cx) { return cx.vcols_d; }
-  static std::vector<ColView>& e(ExecContext& cx) { return cx.vcols_e; }
 };
 
 /// Lexicographic compare of row `x` under columns `a` vs row `y` under
@@ -150,48 +148,24 @@ bool KeysEqualAt(const typename A::Col* c, size_t x, size_t y, size_t k) {
   return true;
 }
 
-/// Ordered compare of rows `x` and `y` under the SAME column views —
-/// compares raw codes on encoded columns (both encodings preserve value
-/// order within a column), so key-order permutation sorts stay in code
-/// space.
-template <typename A>
-int CompareKeysSameAt(const typename A::Col* c, size_t x, size_t y, size_t k) {
-  for (size_t t = 0; t < k; ++t) {
-    const int r = A::CompareAt(c[t], x, y);
-    if (r != 0) return r;
-  }
-  return 0;
-}
-
-/// n·ceil(log2 n): the comparison count reported for permutation sorts.
-/// (Sorts run through ParallelSortPerm, so per-invocation comparator
-/// counting would race across sort workers; the bound is deterministic at
-/// every parallelism level.)
-inline int64_t SortComparisonBound(size_t n) {
-  if (n < 2) return 0;
-  int64_t lg = 0;
-  while ((size_t{1} << lg) < n) ++lg;
-  return static_cast<int64_t>(n) * lg;
-}
-
 /// Fills `perm` with the canonical (full-row lexicographic) order of `r`;
-/// the identity, sort skipped, when `r` is already canonical. The sort runs
-/// through ParallelSortPerm (index tiebreak → total order → bit-identical
-/// at every parallelism level). Non-canonical relations are always plain
-/// (mutation decodes), so this path reads raw columns.
+/// the identity, sort skipped, when `r` is already canonical. The sort is
+/// the kernel's radix sort (detail::SortRowPerm → RadixSortPerm: row-id
+/// tiebreak by stability → bit-identical at every parallelism level).
+/// Non-canonical relations are always plain (mutation decodes), so this
+/// path reads raw columns.
 template <CommutativeSemiring S>
 void RowOrderPerm(const Relation<S>& r, ExecContext& cx,
                   std::vector<size_t>* perm, OpStats* st) {
   const size_t n = r.size();
-  perm->resize(n);
-  std::iota(perm->begin(), perm->end(), size_t{0});
   if (r.canonical()) {
+    perm->resize(n);
+    std::iota(perm->begin(), perm->end(), size_t{0});
     ++st->sort_skips;
     return;
   }
   detail::SortRowPerm(r.columns(), n, perm, &cx);
   ++st->sorts;
-  st->comparisons += SortComparisonBound(n);
 }
 
 /// True when `pos` names the schema prefix [0, k) in order.
@@ -331,29 +305,22 @@ std::pair<size_t, size_t> DirProbe(const RunDirectory& dir,
 /// Fills `perm` with a row ordering of `r` sorted by key columns `pos`.
 /// When `pos` is the schema prefix [0, k) of a canonical relation the rows
 /// are already key-ordered and the sort is skipped (the kernel fast path).
-/// Like RowOrderPerm, the sort is a ParallelSortPerm with index tiebreak;
-/// on encoded columns the comparator runs in code space.
-template <typename A, CommutativeSemiring S>
+/// Otherwise it is a RadixSortPerm over the key views (row-id tiebreak by
+/// stability), which sorts encoded columns by their codes, never decoding.
+template <CommutativeSemiring S>
 void KeyOrderPerm(const Relation<S>& r, const std::vector<int>& pos,
                   ExecContext& cx, std::vector<size_t>* perm, OpStats* st) {
   const size_t n = r.size();
-  perm->resize(n);
-  std::iota(perm->begin(), perm->end(), size_t{0});
   if (IsCanonicalKeyPrefix(r, pos)) {
+    perm->resize(n);
+    std::iota(perm->begin(), perm->end(), size_t{0});
     ++st->sort_skips;
     return;
   }
-  std::vector<typename A::Col> kc;
-  GatherCols<A>(r, pos, &kc);
-  const typename A::Col* k = kc.data();
-  const size_t nk = kc.size();
-  ParallelSortPerm(perm, PlannedWorkers(cx, n), [k, nk](size_t x, size_t y) {
-    const int c = CompareKeysSameAt<A>(k, x, y, nk);
-    if (c != 0) return c < 0;
-    return x < y;
-  });
+  std::vector<ColView> keys;
+  GatherColViews(r, pos, &keys);
+  RadixSortPerm(keys, n, cx, perm);
   ++st->sorts;
-  st->comparisons += SortComparisonBound(n);
 }
 
 /// Lower bound of the left key of row `lrow` in the key-ordered right
@@ -826,29 +793,23 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
   }
 
   // Right side key-ordered with full-row tiebreak so extras within a key-run
-  // stream out sorted; identity (no sort, no indirection) when the key is
-  // already a canonical schema prefix. Comparators run in code space on
-  // encoded columns.
+  // stream out sorted: the radix key is the key columns followed by the
+  // remaining columns in schema order (the key columns already decided
+  // every earlier position of the full row). Identity (no sort, no
+  // indirection) when the key is already a canonical schema prefix.
   const size_t* rpm = nullptr;
   if (IsCanonicalKeyPrefix(right, rpos)) {
     ++st.sort_skips;
   } else {
-    std::vector<size_t>& rp = cx.perm_b;
-    rp.resize(rn);
-    std::iota(rp.begin(), rp.end(), size_t{0});
-    GatherAllCols<A>(right, &ScratchCols<A>::e(cx));
-    const typename A::Col* rall = ScratchCols<A>::e(cx).data();
-    const size_t ra = right.arity();
-    ParallelSortPerm(&rp, PlannedWorkers(cx, rn), [&](size_t x, size_t y) {
-      const int c = CompareKeysSameAt<A>(rk, x, y, nk);
-      if (c != 0) return c < 0;
-      const int f = CompareKeysSameAt<A>(rall, x, y, ra);
-      if (f != 0) return f < 0;
-      return x < y;
-    });
+    std::vector<ColView> keys;
+    GatherColViews(right, rpos, &keys);
+    for (size_t j = 0; j < right.arity(); ++j)
+      if (std::find(rpos.begin(), rpos.end(), static_cast<int>(j)) ==
+          rpos.end())
+        keys.push_back(right.view(j));
+    RadixSortPerm(keys, rn, cx, &cx.perm_b);
     ++st.sorts;
-    st.comparisons += SortComparisonBound(rn);
-    rpm = rp.data();
+    rpm = cx.perm_b.data();
   }
 
   // Left keys arrive monotonically under full-row traversal order exactly
@@ -947,7 +908,7 @@ Relation<S> SemijoinImpl(const Relation<S>& left, const Relation<S>& right,
   if (IsCanonicalKeyPrefix(right, rpos)) {
     ++st.sort_skips;
   } else {
-    KeyOrderPerm<A>(right, rpos, cx, &cx.perm_b, &st);
+    KeyOrderPerm(right, rpos, cx, &cx.perm_b, &st);
     rpm = cx.perm_b.data();
   }
 
@@ -1023,7 +984,7 @@ Relation<S> ProjectImpl(const Relation<S>& r, const std::vector<VarId>& keep,
   if (IsCanonicalKeyPrefix(r, pos)) {
     ++st.sort_skips;
   } else {
-    KeyOrderPerm<A>(r, pos, cx, &cx.perm_a, &st);
+    KeyOrderPerm(r, pos, cx, &cx.perm_a, &st);
     perm = cx.perm_a.data();
   }
   GatherCols<A>(r, pos, &ScratchCols<A>::a(cx));
@@ -1078,7 +1039,7 @@ Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
   if (IsCanonicalKeyPrefix(in, kept_pos)) {
     ++st.sort_skips;
   } else {
-    KeyOrderPerm<A>(in, kept_pos, cx, &cx.perm_a, &st);
+    KeyOrderPerm(in, kept_pos, cx, &cx.perm_a, &st);
     perm = cx.perm_a.data();
   }
   GatherCols<A>(in, kept_pos, &ScratchCols<A>::a(cx));

@@ -3,17 +3,25 @@
 //
 // The operators in ops.h stay sort-merge kernels over canonical traversals;
 // this header supplies the fork/join machinery that lets one operator call
-// fan its traversal out across cores:
+// fan its traversal out across cores, and the one sort primitive beneath
+// every canonical order:
 //
 //  * WorkerPool — a lazily-created process-wide pool of workers with a
-//    work-stealing ParallelFor (atomic task counter). The calling thread is
-//    always worker 0, so a pool of zero threads degrades to plain serial
-//    execution and parallelism never deadlocks.
+//    work-stealing ParallelFor (atomic task counter per job). Concurrent
+//    ParallelFor calls share the pool: each call posts a job, and an idle
+//    pool thread joins the job with the fewest helpers. The calling thread
+//    is always worker 0 and drains its own job, so a pool of zero threads
+//    degrades to plain serial execution and parallelism never deadlocks.
 //  * KeyAlignedCuts — splits a traversal range [0, n) into morsels whose
 //    boundaries never land inside a key run. This is the invariant that
 //    makes per-morsel outputs concatenate into the serial result byte for
 //    byte: group folds and builder-level adjacent merges can never straddle
 //    a cut.
+//  * RadixSortPerm — the stable LSD radix sort of a row permutation that
+//    Canonicalize, RowOrderPerm, and the operator key-order sorts all run
+//    through. Stable from the identity means ties keep row-id order by
+//    construction, so the permutation is the unique (key, row id) order at
+//    every worker count.
 //  * MorselRun — the shared fork/join scaffold: one RelationBuilder per
 //    morsel, one worker-owned ExecContext per worker (ExecContext's arena),
 //    concatenation through Relation::ConcatPieces, which certifies the
@@ -27,13 +35,13 @@
 #define TOPOFAQ_RELATION_PARALLEL_H_
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -43,10 +51,12 @@
 
 namespace topofaq {
 
-/// Persistent fork/join worker pool. One job runs at a time; a ParallelFor
-/// issued while the pool is busy (e.g. from a second user thread) runs
-/// entirely on the calling thread instead of queueing, so the pool can never
-/// deadlock and callers never wait on unrelated work.
+/// Persistent fork/join worker pool shared by concurrent callers. Every
+/// ParallelFor posts a job; an idle pool thread joins the posted job with
+/// the fewest helpers and takes that job's next worker slot, so two
+/// operators running at once (two engine queries, or two morsel-parallel
+/// calls from different user threads) split the pool between them instead
+/// of one of them running serially.
 class WorkerPool {
  public:
   /// The process-wide pool, created on first use with
@@ -61,10 +71,13 @@ class WorkerPool {
 
   /// Runs fn(worker, task) for every task in [0, n_tasks), on up to
   /// `workers` workers: the calling thread is worker 0 and up to workers-1
-  /// pool threads join in. Tasks are claimed through an atomic counter
-  /// (work-stealing), so skewed morsels balance automatically. Blocks until
-  /// every task has finished; the return establishes a happens-before edge
-  /// with all task executions.
+  /// pool threads join in, each under its own worker id in [1, workers) —
+  /// ids are unique within one call, so fn may index per-worker state by
+  /// them. Tasks are claimed through an atomic counter (work-stealing), so
+  /// skewed morsels balance automatically. The caller claims tasks too and
+  /// never waits for a helper to arrive, only for helpers already running a
+  /// task to finish it. Blocks until every task has finished; the return
+  /// establishes a happens-before edge with all task executions.
   void ParallelFor(int workers, size_t n_tasks,
                    const std::function<void(int, size_t)>& fn);
 
@@ -72,20 +85,27 @@ class WorkerPool {
   int max_workers() const { return static_cast<int>(threads_.size()) + 1; }
 
  private:
-  void WorkerLoop(int id);
+  /// One ParallelFor call in flight. Lives on the caller's stack; listed in
+  /// jobs_ while helpers may still join it.
+  struct Job {
+    const std::function<void(int, size_t)>* fn = nullptr;
+    size_t n_tasks = 0;
+    std::atomic<size_t> next{0};  // next unclaimed task
+    int max_helpers = 0;          // pool threads this job may use
+    int helpers = 0;              // joined so far; slot ids 1..helpers
+    int active = 0;               // helpers still inside the job
+  };
+
+  void WorkerLoop();
+  /// The joinable job with the fewest helpers, or nullptr. Requires mu_.
+  Job* PickJob();
 
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(int, size_t)>* fn_ = nullptr;  // guarded by mu_
-  size_t n_tasks_ = 0;                                    // guarded by mu_
-  int job_workers_ = 0;   // pool threads participating in the current job
-  int active_ = 0;        // pool threads still inside the current job
-  uint64_t epoch_ = 0;    // bumped per job so workers wake exactly once
-  bool busy_ = false;
-  bool stop_ = false;
-  std::atomic<size_t> next_task_{0};
+  std::vector<Job*> jobs_;  // guarded by mu_
+  bool stop_ = false;       // guarded by mu_
 };
 
 /// Inputs smaller than this stay on the serial path regardless of the
@@ -126,41 +146,21 @@ std::vector<size_t> KeyAlignedCuts(size_t n, size_t want,
   return cuts;
 }
 
-/// Deterministic parallel permutation sort — the "parallelize the serial
-/// preambles" seam (ROADMAP): Canonicalize and the operator key/row-order
-/// permutation sorts route through this. `less` MUST be a *total* order
-/// (callers tie-break by index), so the sorted sequence is unique and the
-/// chunked sort-then-pairwise-inplace-merge below produces bit-identical
-/// results to a serial std::sort at every worker count — including
-/// workers == 1, which is exactly the serial sort.
-template <typename Less>
-void ParallelSortPerm(std::vector<size_t>* perm, int workers, Less&& less) {
-  const size_t n = perm->size();
-  size_t* base = perm->data();
-  if (workers <= 1 || n < 2 * kParallelMinRows) {
-    std::sort(base, base + n, less);
-    return;
-  }
-  const size_t chunks = static_cast<size_t>(workers);
-  std::vector<size_t> bounds(chunks + 1);
-  for (size_t i = 0; i <= chunks; ++i) bounds[i] = i * n / chunks;
-  WorkerPool::Shared().ParallelFor(workers, chunks, [&](int, size_t i) {
-    std::sort(base + bounds[i], base + bounds[i + 1], less);
-  });
-  // Balanced pairwise merge: log2(chunks) levels, each level's merges
-  // independent and run on the pool.
-  for (size_t width = 1; width < chunks; width <<= 1) {
-    std::vector<std::array<size_t, 3>> jobs;
-    for (size_t i = 0; i + width < chunks; i += 2 * width)
-      jobs.push_back({bounds[i], bounds[i + width],
-                      bounds[std::min(chunks, i + 2 * width)]});
-    WorkerPool::Shared().ParallelFor(
-        workers, jobs.size(), [&](int, size_t j) {
-          std::inplace_merge(base + jobs[j][0], base + jobs[j][1],
-                             base + jobs[j][2], less);
-        });
-  }
-}
+/// Fills `perm` with rows [0, n) ordered lexicographically by the key
+/// columns `keys` (keys[0] most significant), ties in row-id order — the
+/// one permutation sort of the kernel. Each view contributes its
+/// order-preserving codes: raw values on plain views (less the column
+/// minimum), dict/FOR codes on encoded ones (ColView::CodeAt), so a
+/// column's bit width, not its type, sets its share of the passes, and a
+/// constant column costs none. The codes are concatenated into one wide
+/// key and sorted by a stable LSD radix sort of (key digits, row id)
+/// words, starting from the identity: stability is the row-id tiebreak.
+/// With PlannedWorkers(cx, n) > 1 each pass builds per-chunk histograms on
+/// the WorkerPool, prefix-sums them in chunk order, and scatters chunks in
+/// parallel; the result is the same unique permutation at every worker
+/// count. Sort buffers are `cx`'s radix scratch. Defined in parallel.cc.
+void RadixSortPerm(std::span<const ColView> keys, size_t n, ExecContext& cx,
+                   std::vector<size_t>* perm);
 
 /// The shared fork/join scaffold for morsel-parallel operators: splits the
 /// traversal [0, n) at key-run boundaries, runs

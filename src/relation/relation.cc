@@ -1,7 +1,7 @@
 // Out-of-line pieces of the columnar relation storage (relation.h) that need
-// the kernel seams: the canonicalization permutation sort is routed through
-// the WorkerPool (parallel.h) when the ambient ExecContext allows, which
-// relation.h itself must not include.
+// the kernel seams: the canonicalization permutation sort is the kernel's
+// radix sort (parallel.h), parallel on the WorkerPool when the ambient
+// ExecContext allows, which relation.h itself must not include.
 #include "relation/relation.h"
 
 #include "relation/exec.h"
@@ -12,26 +12,10 @@ namespace detail {
 
 void SortRowPerm(const std::vector<std::vector<Value>>& cols, size_t rows,
                  std::vector<size_t>* perm, ExecContext* ctx) {
-  perm->resize(rows);
-  std::iota(perm->begin(), perm->end(), size_t{0});
-  const size_t ncols = cols.size();
-  // Hoisted column bases: the comparator touches one contiguous array per
-  // compared column, never a row stride.
-  std::vector<const Value*> cp(ncols);
-  for (size_t j = 0; j < ncols; ++j) cp[j] = cols[j].data();
-  const Value* const* c = cp.data();
-  // Index tiebreak ⇒ total order ⇒ the sorted permutation is unique, so the
-  // parallel sort-and-merge below is bit-identical to a serial std::sort.
-  auto less = [c, ncols](size_t x, size_t y) {
-    for (size_t j = 0; j < ncols; ++j) {
-      const Value a = c[j][x];
-      const Value b = c[j][y];
-      if (a != b) return a < b;
-    }
-    return x < y;
-  };
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  ParallelSortPerm(perm, PlannedWorkers(cx, rows), less);
+  std::vector<ColView> keys;
+  keys.reserve(cols.size());
+  for (const std::vector<Value>& c : cols) keys.push_back({c.data(), nullptr, 0});
+  RadixSortPerm(keys, rows, ExecContext::Resolve(ctx), perm);
 }
 
 }  // namespace detail

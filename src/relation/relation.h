@@ -138,10 +138,11 @@ void CompactSortedColumns(std::vector<std::vector<Value>>* cols,
 /// Fills `perm` (resized to the row count) with the lexicographic row order
 /// of the column arrays `cols`, ties broken by row id — a *total* order, so
 /// the sorted permutation is unique and every downstream duplicate-merge ⊕
-/// folds in a deterministic association. When the ambient context (`ctx`,
-/// or the thread-local default for nullptr) has parallelism > 1 and the
-/// input is large, sort morsels run on the WorkerPool and merge pairwise —
-/// bit-identical to the serial sort by totality. Defined in relation.cc.
+/// folds in a deterministic association. Runs RadixSortPerm (parallel.h)
+/// under the ambient context (`ctx`, or the thread-local default for
+/// nullptr), so large inputs sort on the WorkerPool when its parallelism
+/// allows — the same permutation at every worker count. Defined in
+/// relation.cc.
 void SortRowPerm(const std::vector<std::vector<Value>>& cols, size_t rows,
                  std::vector<size_t>* perm, ExecContext* ctx);
 
@@ -451,7 +452,8 @@ class Relation {
         if (e->encoding == ColumnEncoding::kDict) {
           if (!e->dict.empty()) m = std::max(m, e->dict.back() + 1);
         } else {
-          for (size_t i = 0; i < e->rows; ++i) m = std::max(m, e->At(i) + 1);
+          e->VisitValues(0, e->rows,
+                         [&m](size_t, Value v) { m = std::max(m, v + 1); });
         }
       } else {
         for (Value v : cols_[j]) m = std::max(m, v + 1);

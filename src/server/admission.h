@@ -45,21 +45,27 @@ struct RelationProfile {
 };
 
 /// Scans r's leading column once (canonical order ⇒ equal keys are
-/// contiguous, so the longest run is the max matches-per-key degree).
+/// contiguous, so the longest run is the max matches-per-key degree). An
+/// encoded column is scanned sequentially over its packed codes
+/// (EncodedColumn::VisitValues), never unpacked row by row.
 template <CommutativeSemiring S>
 RelationProfile ProfileRelation(const Relation<S>& r) {
   RelationProfile p;
   p.rows = r.size();
   if (r.arity() == 0 || r.size() == 0) return p;
-  uint64_t run = 1;
-  Value prev = r.at(0, 0);
-  for (size_t i = 1; i < r.size(); ++i) {
-    const Value v = r.at(i, 0);
-    run = (v == prev) ? run + 1 : 1;
+  uint64_t run = 0;
+  Value prev = 0;
+  auto step = [&](size_t, Value v) {
+    run = (run > 0 && v == prev) ? run + 1 : 1;
     prev = v;
-    if (run > p.max_leading_run) p.max_leading_run = run;
+    p.max_leading_run = std::max<uint64_t>(p.max_leading_run, run);
+  };
+  if (const EncodedColumn* e = r.encoded_col(0)) {
+    e->VisitValues(0, r.size(), step);
+  } else {
+    const ColumnView c = r.col(0);
+    for (size_t i = 0; i < c.size(); ++i) step(i, c[i]);
   }
-  if (run > p.max_leading_run) p.max_leading_run = run;
   return p;
 }
 

@@ -16,12 +16,13 @@
 //       (bench/bench_engine_concurrent.cc gates this in CI).
 //
 // Concurrency model: queries multiplex the process-wide WorkerPool at morsel
-// granularity. A parallel operator whose ParallelFor finds the pool busy
-// runs its morsels on the dispatcher thread instead of queueing
-// (relation/parallel.h), so concurrent queries interleave at morsel
-// boundaries without any additional scheduler — and results stay
-// bit-identical to direct solver calls because morsel decomposition never
-// changes output bytes (the determinism contract).
+// granularity. Each parallel operator call posts a job; idle pool threads
+// join the job with the fewest helpers, and the dispatcher thread always
+// drains its own job (relation/parallel.h), so concurrent queries share the
+// pool without any additional scheduler and never wait on each other's
+// morsels — and results stay bit-identical to direct solver calls because
+// morsel decomposition never changes output bytes (the determinism
+// contract).
 //
 // Cancellation: Session::Cancel() flips an atomic the query's ExecContext
 // carries; MorselRun checks it at every morsel boundary and the solvers

@@ -297,6 +297,44 @@ TEST(Engine, ProfileRelationMeasuresLeadingRuns) {
   EXPECT_EQ(p.max_leading_run, 3u);
 }
 
+TEST(Engine, ProfileAndDomainSizeAgreeAcrossEncodings) {
+  // The submit-path scans read encoded columns sequentially
+  // (EncodedColumn::VisitValues); their numbers must match the plain scan.
+  Rng rng(31);
+  std::vector<std::pair<Value, Value>> rows;
+  for (size_t i = 0; i < 6000; ++i) {
+    const Value k = rng.NextU64(40);
+    rows.push_back({k * k * 1000, rng.NextU64(uint64_t{1} << 40)});
+  }
+  uint64_t want_run = 0;
+  RelationProfile plain_p;
+  uint64_t plain_d = 0;
+  for (EncodingMode mode : {EncodingMode::kPlain, EncodingMode::kForceDict,
+                            EncodingMode::kForceFor}) {
+    ScopedEncodingMode scoped(mode);
+    Relation<NaturalSemiring> r{Schema(std::vector<VarId>{0, 1})};
+    for (const auto& [a, b] : rows) r.Add({a, b}, 1);
+    r.Canonicalize();
+    EXPECT_EQ(r.any_encoded(), mode != EncodingMode::kPlain);
+    const RelationProfile p = ProfileRelation(r);
+    const uint64_t d = r.MaxValuePlusOne();
+    if (mode == EncodingMode::kPlain) {
+      plain_p = p;
+      plain_d = d;
+      uint64_t run = 0;
+      for (size_t i = 0; i < r.size(); ++i) {
+        run = (i > 0 && r.at(i, 0) == r.at(i - 1, 0)) ? run + 1 : 1;
+        want_run = std::max(want_run, run);
+      }
+      EXPECT_EQ(p.max_leading_run, want_run);
+      continue;
+    }
+    EXPECT_EQ(p.rows, plain_p.rows);
+    EXPECT_EQ(p.max_leading_run, plain_p.max_leading_run);
+    EXPECT_EQ(d, plain_d);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parser round-trip and instantiation.
 

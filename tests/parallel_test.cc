@@ -1,13 +1,20 @@
 // Morsel-parallel kernel tests (docs/kernel.md, "Morsel-parallel
-// execution"): the WorkerPool fork/join contract, key-aligned morsel cuts,
-// and — the core guarantee — byte-identical canonical output across
+// execution"): the WorkerPool fork/join contract (concurrent callers
+// sharing the pool included), key-aligned morsel cuts, the radix
+// permutation sort against the comparator sort it replaced, and — the core
+// guarantee — byte-identical canonical output across
 // parallelism ∈ {1, 2, 7, hardware_concurrency} for Join / Semijoin /
 // Project / Eliminate over four semirings, including empty, skewed, and
 // single-key-run inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,9 +66,9 @@ TEST(WorkerPool, ZeroTasksAndSingleWorkerAreNoops) {
 }
 
 TEST(WorkerPool, ConcurrentCallersDegradeInsteadOfDeadlocking) {
-  // Two user threads hammer the shared pool at once; the loser of the busy
-  // check must run serially on its own thread, and every task must still
-  // run exactly once.
+  // Two user threads hammer the shared pool at once; their jobs share the
+  // pool threads (each caller always drains its own job, so neither can
+  // wait on the other), and every task must still run exactly once.
   std::atomic<int> total{0};
   auto burst = [&] {
     for (int i = 0; i < 50; ++i)
@@ -72,6 +79,151 @@ TEST(WorkerPool, ConcurrentCallersDegradeInsteadOfDeadlocking) {
   a.join();
   b.join();
   EXPECT_EQ(total.load(), 2 * 50 * 64);
+}
+
+TEST(WorkerPool, ConcurrentCallersBothGetHelpersWithUniqueIds) {
+  // Two callers post jobs on one 4-thread pool at once. Every task of both
+  // jobs waits until each job has seen a helper (worker id > 0), so the test
+  // passes only if idle pool threads split between the two jobs instead of
+  // one job running on its caller alone. Within a job, each worker id must
+  // belong to exactly one thread and stay below `workers`.
+  WorkerPool pool(4);
+  const int workers = 3;
+  const size_t tasks = 64;
+  std::atomic<bool> helped[2] = {false, false};
+  struct Seen {
+    std::mutex mu;
+    std::vector<std::thread::id> owner = std::vector<std::thread::id>(8);
+    std::vector<int> runs = std::vector<int>(64, 0);
+    bool ids_ok = true;
+  } seen[2];
+  // One deadline for the whole test: a pool that never helps one of the
+  // jobs fails the test after 10 s instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto caller = [&](int job) {
+    pool.ParallelFor(workers, tasks, [&, job](int w, size_t t) {
+      {
+        std::lock_guard<std::mutex> lk(seen[job].mu);
+        Seen& s = seen[job];
+        if (w < 0 || w >= workers) {
+          s.ids_ok = false;
+        } else {
+          const std::thread::id me = std::this_thread::get_id();
+          if (s.owner[w] == std::thread::id()) s.owner[w] = me;
+          if (s.owner[w] != me) s.ids_ok = false;
+        }
+        ++s.runs[t];
+      }
+      if (w > 0) helped[job].store(true);
+      while (!(helped[0].load() && helped[1].load()) &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  };
+  std::thread a(caller, 0), b(caller, 1);
+  a.join();
+  b.join();
+  for (int job = 0; job < 2; ++job) {
+    SCOPED_TRACE("job " + std::to_string(job));
+    EXPECT_TRUE(helped[job].load()) << "no pool thread joined this job";
+    EXPECT_TRUE(seen[job].ids_ok);
+    for (size_t t = 0; t < tasks; ++t) EXPECT_EQ(seen[job].runs[t], 1) << t;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// RadixSortPerm vs the comparator sort it replaced
+// ---------------------------------------------------------------------------
+
+/// The pre-radix reference: std::stable_sort of the identity under the
+/// lexicographic code comparator with the row-id tiebreak.
+std::vector<size_t> ComparatorPerm(const std::vector<ColView>& keys, size_t n) {
+  std::vector<size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::stable_sort(perm.begin(), perm.end(), [&](size_t x, size_t y) {
+    for (const ColView& k : keys) {
+      const uint64_t a = k.CodeAt(x);
+      const uint64_t b = k.CodeAt(y);
+      if (a != b) return a < b;
+    }
+    return x < y;
+  });
+  return perm;
+}
+
+/// Checks RadixSortPerm against ComparatorPerm at parallelism 1 and max.
+void ExpectRadixMatches(const std::vector<ColView>& keys, size_t n,
+                        const std::string& what) {
+  const std::vector<size_t> want = ComparatorPerm(keys, n);
+  for (int p : {1, WorkerPool::Shared().max_workers()}) {
+    ExecContext cx;
+    cx.parallelism = p;
+    std::vector<size_t> got{7, 7, 7};  // stale contents must not leak
+    RadixSortPerm(keys, n, cx, &got);
+    EXPECT_EQ(got, want) << what << " n=" << n << " p=" << p;
+  }
+}
+
+TEST(RadixSortPerm, MatchesComparatorSortOnEveryShape) {
+  const uint64_t kMax = ~uint64_t{0};
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1023},
+                   size_t{1025}, size_t{100000}}) {
+    Rng rng(900 + n);
+    auto column = [&](auto gen) {
+      std::vector<Value> c(n);
+      for (Value& v : c) v = gen();
+      return c;
+    };
+    auto plain = [](const std::vector<Value>& c) {
+      return ColView{c.data(), nullptr, 0};
+    };
+    const std::vector<Value> a20 = column([&] { return rng.NextU64(1 << 20); });
+    const std::vector<Value> b20 = column([&] { return rng.NextU64(1 << 20); });
+    const std::vector<Value> zeros(n, 0);
+    const std::vector<Value> wide = column([&] {
+      const uint64_t r = rng.NextU64(4);
+      return r == 0 ? kMax : (r == 1 ? Value{0} : rng.NextU64());
+    });
+    const std::vector<Value> c30 = column([&] { return rng.NextU64(1 << 30); });
+    const std::vector<Value> dup = column([&] { return rng.NextU64(3); });
+    const std::vector<Value> dup2 = column([&] { return rng.NextU64(2); });
+
+    ExpectRadixMatches({plain(a20), plain(b20)}, n, "2 x 20-bit");
+    ExpectRadixMatches({plain(zeros), plain(a20), plain(zeros)}, n,
+                       "width-0 columns around a 20-bit one");
+    ExpectRadixMatches({plain(zeros)}, n, "all-zero key");
+    ExpectRadixMatches({plain(wide)}, n, "width-64 with UINT64_MAX");
+    ExpectRadixMatches({plain(wide), plain(a20)}, n, "64 + 20 bits");
+    ExpectRadixMatches({plain(c30), plain(wide), plain(c30)}, n,
+                       "30 + 64 + 30 bits");
+    ExpectRadixMatches({plain(c30), plain(b20), plain(c30)}, n,
+                       "30 + 20 + 30 bits");
+    ExpectRadixMatches({plain(dup), plain(dup2)}, n, "heavy duplicates");
+
+    // Encoded views read codes, at a non-zero row offset into the column.
+    const size_t off = 37;
+    std::vector<Value> padded(off, 5);
+    padded.insert(padded.end(), a20.begin(), a20.end());
+    std::vector<Value> dict_vals = padded;
+    std::sort(dict_vals.begin(), dict_vals.end());
+    dict_vals.erase(std::unique(dict_vals.begin(), dict_vals.end()),
+                    dict_vals.end());
+    const EncodedColumn dict = EncodedColumn::Dict(padded, dict_vals);
+    const EncodedColumn fr = EncodedColumn::For(
+        padded, *std::min_element(padded.begin(), padded.end()),
+        *std::max_element(padded.begin(), padded.end()));
+    std::vector<Value> padded_dup(off, 1);
+    padded_dup.insert(padded_dup.end(), dup.begin(), dup.end());
+    const EncodedColumn dict_dup =
+        EncodedColumn::Dict(padded_dup, std::vector<Value>{0, 1, 2});
+    const ColView dv{nullptr, &dict, off};
+    const ColView fv{nullptr, &fr, off};
+    const ColView ddv{nullptr, &dict_dup, off};
+    ExpectRadixMatches({dv, plain(b20)}, n, "dict + plain");
+    ExpectRadixMatches({plain(dup), fv}, n, "plain + FOR");
+    ExpectRadixMatches({ddv, fv, dv}, n, "dict dup + FOR + dict");
+  }
 }
 
 TEST(KeyAlignedCuts, NeverSplitsARun) {
