@@ -20,11 +20,9 @@
 // operators may compare, group, and gallop over raw codes without
 // decoding; only cross-column comparisons (join keys against another
 // relation) and emission into a RelationBuilder decode, via At(). The
-// scalar decode/compare/fold loops below are the dispatch seam: one
-// kernel body in ops.h / multiway.cc instantiates against PlainAccess
-// (raw Value loads, today's code paths, zero overhead) or EncodedAccess
-// (ColView::At), so a later vectorized unpack only replaces these
-// primitives.
+// kernels in ops.h and multiway.h read every column, plain or encoded,
+// through ColView (below); a later vectorized unpack only replaces its
+// scalar primitives.
 #ifndef TOPOFAQ_RELATION_ENCODING_H_
 #define TOPOFAQ_RELATION_ENCODING_H_
 
@@ -431,49 +429,30 @@ inline constexpr size_t kDictMaxEntries = 1u << 16;
 // ColView: the unified column view behind which operators run.
 
 /// A read-only view of one column (or a row range of it) that is either a
-/// raw Value pointer or an EncodedColumn plus offset. `At` is the single
-/// scalar decode primitive the encoded kernel instantiations go through.
+/// raw Value pointer or an EncodedColumn plus offset. `enc` alone tells the
+/// two apart: an empty plain column's `plain` is null. `At` is the single
+/// scalar decode primitive the kernels go through.
 struct ColView {
-  const Value* plain = nullptr;      // non-null iff the column is plain
-  const EncodedColumn* enc = nullptr;
-  size_t offset = 0;                 // row offset of this view into enc
+  const Value* plain = nullptr;        // the values, when the column is plain
+  const EncodedColumn* enc = nullptr;  // non-null iff the column is encoded
+  size_t offset = 0;                   // row offset of this view into enc
 
   bool encoded() const { return enc != nullptr; }
 
   Value At(size_t i) const {
-    return plain != nullptr ? plain[i] : enc->At(offset + i);
+    return enc == nullptr ? plain[i] : enc->At(offset + i);
   }
   uint64_t CodeAt(size_t i) const {
-    return plain != nullptr ? plain[i] : enc->CodeAt(offset + i);
+    return enc == nullptr ? plain[i] : enc->CodeAt(offset + i);
   }
   /// Same-column equality without decoding: codes are injective per column.
   bool EqualAt(size_t i, size_t j) const {
-    return plain != nullptr ? plain[i] == plain[j]
-                            : enc->CodeAt(offset + i) == enc->CodeAt(offset + j);
+    return enc == nullptr ? plain[i] == plain[j]
+                          : enc->CodeAt(offset + i) == enc->CodeAt(offset + j);
   }
   ColView Sub(size_t begin) const {
-    if (plain != nullptr) return ColView{plain + begin, nullptr, 0};
+    if (enc == nullptr) return ColView{plain + begin, nullptr, 0};
     return ColView{nullptr, enc, offset + begin};
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Access policies: the one-kernel-body dispatch seam used by ops.h.
-
-/// Raw columnar access — compiles to exactly the pre-encoding loads, so the
-/// plain instantiation of every kernel keeps its current codegen.
-struct PlainAccess {
-  using Col = const Value*;
-  static Value At(Col c, size_t i) { return c[i]; }
-  static bool EqualAt(Col c, size_t i, size_t j) { return c[i] == c[j]; }
-};
-
-/// View access — decodes on the fly; same kernel bodies, encoded columns.
-struct EncodedAccess {
-  using Col = ColView;
-  static Value At(const Col& c, size_t i) { return c.At(i); }
-  static bool EqualAt(const Col& c, size_t i, size_t j) {
-    return c.EqualAt(i, j);
   }
 };
 

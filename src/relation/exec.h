@@ -1,7 +1,8 @@
 // Execution context for the sorted-relation kernel (see docs/kernel.md).
 //
-// Every relational operator (Join / Semijoin / Project / Eliminate) threads
-// an ExecContext through its hot loop. The context serves three purposes:
+// Every relational operator (Join / Project / Eliminate / MultiwayJoin)
+// threads an ExecContext through its hot loop. The context serves three
+// purposes:
 //
 //  1. Scratch reuse: operators borrow the context's row/permutation buffers
 //     instead of allocating per call, so a message-passing pass over a GHD
@@ -157,27 +158,20 @@ class ExecContext {
 
   // Per-operator statistics.
   OpStats join;
-  OpStats semijoin;
   OpStats project;
   OpStats eliminate;
   OpStats multiway;
 
   // Scratch buffers borrowed by operators; contents are undefined between
   // calls. perm_a/perm_b hold row-order permutations, pos_* hold column
-  // positions, cols_* hold the per-column base-pointer views the columnar
-  // kernel traverses (borrowed from the input relations for the duration of
-  // one call), row is the output-row assembly buffer.
+  // positions, vcols_* hold the column views the kernel traverses (borrowed
+  // from the input relations for the duration of one call), row is the
+  // output-row assembly buffer.
   std::vector<size_t> perm_a;
   std::vector<size_t> perm_b;
   std::vector<int> pos_a;
   std::vector<int> pos_b;
   std::vector<int> pos_c;
-  std::vector<const Value*> cols_a;
-  std::vector<const Value*> cols_b;
-  std::vector<const Value*> cols_c;
-  std::vector<const Value*> cols_d;
-  // ColView counterparts of cols_* for the encoded kernel instantiations
-  // (relations with compressed columns traverse views, never raw pointers).
   std::vector<ColView> vcols_a;
   std::vector<ColView> vcols_b;
   std::vector<ColView> vcols_c;

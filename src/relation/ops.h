@@ -1,7 +1,9 @@
-// Relational algebra over semiring-annotated relations: natural join ⋈,
-// semijoin ⋉ (Definitions 3.4/3.5), projection with ⊕-aggregation, and
-// multi-variable elimination with per-variable aggregates (the push-down
-// step of Corollary G.2 / Algorithm 3).
+// Relational algebra over semiring-annotated relations: natural join ⋈
+// (Definition 3.4), projection with ⊕-aggregation, and multi-variable
+// elimination with per-variable aggregates (the push-down step of Corollary
+// G.2 / Algorithm 3) — the operators the GHD message pass needs. A semijoin
+// (Definition 3.5) is answered as an FAQ query; the hash oracle
+// reference::Semijoin checks that.
 //
 // All operators run on the sorted-relation kernel (docs/kernel.md): inputs
 // are consumed through key-order row permutations — the identity, with no
@@ -15,11 +17,11 @@
 //
 // Storage is columnar (docs/kernel.md, "Columnar storage"), and columns may
 // arrive *compressed* (relation/encoding.h). Every kernel below has exactly
-// one body, templated over an access policy — PlainAccess (raw base-pointer
-// loads, byte-for-byte the pre-encoding code paths) or EncodedAccess
-// (ColView, decoding per access) — and each public operator dispatches on
-// whether any input column is encoded. Same-column work (run boundaries,
-// group detection, key-order radix sorts, morsel cut alignment) reads raw
+// one body, which reads columns through ColView (a raw Value pointer or an
+// encoded column, decoding per access). Loops that scan a single column
+// test encoded() once, outside the loop, and run over the raw array or the
+// packed codes directly. Same-column work (run boundaries, group
+// detection, key-order radix sorts, morsel cut alignment) reads raw
 // codes without decoding — valid because both encodings preserve order and
 // equality within a column; only cross-relation key comparisons and hashes
 // decode, and rows decode at emission into the RelationBuilder.
@@ -34,7 +36,6 @@
 
 #include <numeric>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,28 +50,10 @@
 namespace topofaq {
 namespace internal {
 
-/// Fills `out` with the base pointers of the `pos` columns of `r` — the
-/// typed column view the plain kernel instantiation traverses. Borrowed
-/// from `r`: invalidated by any mutation. Plain-path only: the caller must
-/// have dispatched away relations with encoded columns.
-template <CommutativeSemiring S>
-void GatherColPtrs(const Relation<S>& r, const std::vector<int>& pos,
-                   std::vector<const Value*>* out) {
-  out->clear();
-  out->reserve(pos.size());
-  for (int p : pos) out->push_back(r.col(static_cast<size_t>(p)).data());
-}
-
-/// All columns of `r` in schema order.
-template <CommutativeSemiring S>
-void GatherAllColPtrs(const Relation<S>& r, std::vector<const Value*>* out) {
-  out->clear();
-  out->reserve(r.arity());
-  for (size_t j = 0; j < r.arity(); ++j) out->push_back(r.col(j).data());
-}
-
-/// ColView counterparts for the encoded instantiation (safe on worker
-/// threads: views never touch the relation's decode cache).
+/// Fills `out` with the views of the `pos` columns of `r` — the column
+/// arrays every kernel below traverses. Borrowed from `r`: invalidated by
+/// any mutation. Safe on worker threads (views never touch the relation's
+/// decode cache).
 template <CommutativeSemiring S>
 void GatherColViews(const Relation<S>& r, const std::vector<int>& pos,
                     std::vector<ColView>* out) {
@@ -79,6 +62,7 @@ void GatherColViews(const Relation<S>& r, const std::vector<int>& pos,
   for (int p : pos) out->push_back(r.view(static_cast<size_t>(p)));
 }
 
+/// All columns of `r` in schema order.
 template <CommutativeSemiring S>
 void GatherAllColViews(const Relation<S>& r, std::vector<ColView>* out) {
   out->clear();
@@ -86,52 +70,14 @@ void GatherAllColViews(const Relation<S>& r, std::vector<ColView>* out) {
   for (size_t j = 0; j < r.arity(); ++j) out->push_back(r.view(j));
 }
 
-/// One gather entry point per access policy.
-template <typename A, CommutativeSemiring S>
-void GatherCols(const Relation<S>& r, const std::vector<int>& pos,
-                std::vector<typename A::Col>* out) {
-  if constexpr (std::is_same_v<A, PlainAccess>)
-    GatherColPtrs(r, pos, out);
-  else
-    GatherColViews(r, pos, out);
-}
-
-template <typename A, CommutativeSemiring S>
-void GatherAllCols(const Relation<S>& r, std::vector<typename A::Col>* out) {
-  if constexpr (std::is_same_v<A, PlainAccess>)
-    GatherAllColPtrs(r, out);
-  else
-    GatherAllColViews(r, out);
-}
-
-/// Maps an access policy to the ExecContext scratch vectors it borrows.
-template <typename A>
-struct ScratchCols;
-template <>
-struct ScratchCols<PlainAccess> {
-  static std::vector<const Value*>& a(ExecContext& cx) { return cx.cols_a; }
-  static std::vector<const Value*>& b(ExecContext& cx) { return cx.cols_b; }
-  static std::vector<const Value*>& c(ExecContext& cx) { return cx.cols_c; }
-  static std::vector<const Value*>& d(ExecContext& cx) { return cx.cols_d; }
-};
-template <>
-struct ScratchCols<EncodedAccess> {
-  static std::vector<ColView>& a(ExecContext& cx) { return cx.vcols_a; }
-  static std::vector<ColView>& b(ExecContext& cx) { return cx.vcols_b; }
-  static std::vector<ColView>& c(ExecContext& cx) { return cx.vcols_c; }
-  static std::vector<ColView>& d(ExecContext& cx) { return cx.vcols_d; }
-};
-
 /// Lexicographic compare of row `x` under columns `a` vs row `y` under
 /// columns `b`; both views must have width `k`. Cross-view: values decode
-/// through the access policy (codes from different columns are not
-/// comparable).
-template <typename A>
-int CompareKeysAt(const typename A::Col* a, size_t x, const typename A::Col* b,
-                  size_t y, size_t k) {
+/// through ColView::At (codes from different columns are not comparable).
+inline int CompareKeysAt(const ColView* a, size_t x, const ColView* b,
+                         size_t y, size_t k) {
   for (size_t t = 0; t < k; ++t) {
-    const Value u = A::At(a[t], x);
-    const Value v = A::At(b[t], y);
+    const Value u = a[t].At(x);
+    const Value v = b[t].At(y);
     if (u < v) return -1;
     if (u > v) return 1;
   }
@@ -141,10 +87,9 @@ int CompareKeysAt(const typename A::Col* a, size_t x, const typename A::Col* b,
 /// Equality of rows `x` and `y` under the SAME column views — compares raw
 /// codes on encoded columns (encodings are injective per column), so run
 /// boundaries and group scans never decode.
-template <typename A>
-bool KeysEqualAt(const typename A::Col* c, size_t x, size_t y, size_t k) {
+inline bool KeysEqualAt(const ColView* c, size_t x, size_t y, size_t k) {
   for (size_t t = 0; t < k; ++t)
-    if (!A::EqualAt(c[t], x, y)) return false;
+    if (!c[t].EqualAt(x, y)) return false;
   return true;
 }
 
@@ -186,11 +131,10 @@ bool IsCanonicalKeyPrefix(const Relation<S>& r, const std::vector<int>& pos) {
 /// FNV-1a over row `row` of the key columns `cols` (width `k`). Hashes the
 /// *decoded* values so directories built over one relation's codes match
 /// probes arriving from another relation's.
-template <typename A>
-uint64_t HashKeyAt(const typename A::Col* cols, size_t k, size_t row) {
+inline uint64_t HashKeyAt(const ColView* cols, size_t k, size_t row) {
   uint64_t h = 1469598103934665603ULL;
   for (size_t t = 0; t < k; ++t) {
-    h ^= A::At(cols[t], row);
+    h ^= cols[t].At(row);
     h *= 1099511628211ULL;
   }
   return h;
@@ -206,10 +150,9 @@ uint64_t HashKeyAt(const typename A::Col* cols, size_t k, size_t row) {
 /// per-shard directories built over key-aligned ranges probe with the
 /// unchanged ProbeRunDirectory below. Run detection compares codes; only
 /// the per-run hash decodes.
-template <typename A>
-void BuildRunDirectoryRange(const typename A::Col* rk, size_t nk, size_t sb,
-                            size_t se, const size_t* rp,
-                            std::vector<uint64_t>* table) {
+inline void BuildRunDirectoryRange(const ColView* rk, size_t nk, size_t sb,
+                                   size_t se, const size_t* rp,
+                                   std::vector<uint64_t>* table) {
   const size_t rows = se - sb;
   size_t cap = 16;
   while (cap < rows * 2) cap <<= 1;
@@ -219,43 +162,39 @@ void BuildRunDirectoryRange(const typename A::Col* rk, size_t nk, size_t sb,
   bool have_prev = false;
   for (size_t s = sb; s < se; ++s) {
     const size_t row = rp ? rp[s] : s;
-    if (have_prev && KeysEqualAt<A>(rk, row, prev, nk)) {
+    if (have_prev && KeysEqualAt(rk, row, prev, nk)) {
       prev = row;
       continue;
     }
     prev = row;
     have_prev = true;
-    uint64_t idx = HashKeyAt<A>(rk, nk, row) & mask;
+    uint64_t idx = HashKeyAt(rk, nk, row) & mask;
     while ((*table)[idx] != 0) idx = (idx + 1) & mask;
     (*table)[idx] = s + 1;
   }
 }
 
 /// Whole-traversal directory (the serial path).
-template <typename A>
-void BuildRunDirectory(const typename A::Col* rk, size_t nk, size_t rn,
-                       const size_t* rp, std::vector<uint64_t>* table) {
-  BuildRunDirectoryRange<A>(rk, nk, 0, rn, rp, table);
+inline void BuildRunDirectory(const ColView* rk, size_t nk, size_t rn,
+                              const size_t* rp, std::vector<uint64_t>* table) {
+  BuildRunDirectoryRange(rk, nk, 0, rn, rp, table);
 }
 
 /// Returns the traversal-position run [lo, hi) whose key equals row `lrow`
 /// of the left key view `lk`, or an empty range when there is no match.
-template <typename A>
-std::pair<size_t, size_t> ProbeRunDirectory(const std::vector<uint64_t>& table,
-                                            const typename A::Col* rk,
-                                            size_t nk, size_t rn,
-                                            const size_t* rp,
-                                            const typename A::Col* lk,
-                                            size_t lrow, int64_t* cmps) {
+inline std::pair<size_t, size_t> ProbeRunDirectory(
+    const std::vector<uint64_t>& table, const ColView* rk, size_t nk,
+    size_t rn, const size_t* rp, const ColView* lk, size_t lrow,
+    int64_t* cmps) {
   const uint64_t mask = table.size() - 1;
-  uint64_t idx = HashKeyAt<A>(lk, nk, lrow) & mask;
+  uint64_t idx = HashKeyAt(lk, nk, lrow) & mask;
   while (table[idx] != 0) {
     const size_t s = table[idx] - 1;
     ++*cmps;
-    if (CompareKeysAt<A>(rk, rp ? rp[s] : s, lk, lrow, nk) == 0) {
+    if (CompareKeysAt(rk, rp ? rp[s] : s, lk, lrow, nk) == 0) {
       size_t hi = s + 1;
       while (hi < rn &&
-             CompareKeysAt<A>(rk, rp ? rp[hi] : hi, lk, lrow, nk) == 0)
+             CompareKeysAt(rk, rp ? rp[hi] : hi, lk, lrow, nk) == 0)
         ++hi;
       *cmps += static_cast<int64_t>(hi - s);
       return {s, hi};
@@ -278,14 +217,13 @@ struct RunDirectory {
   const std::vector<size_t>* shard_cuts = nullptr;
 };
 
-template <typename A>
-std::pair<size_t, size_t> DirProbe(const RunDirectory& dir,
-                                   const typename A::Col* rk, size_t nk,
-                                   size_t rn, const size_t* rp,
-                                   const typename A::Col* lk, size_t lrow,
-                                   int64_t* cmps) {
+inline std::pair<size_t, size_t> DirProbe(const RunDirectory& dir,
+                                          const ColView* rk, size_t nk,
+                                          size_t rn, const size_t* rp,
+                                          const ColView* lk, size_t lrow,
+                                          int64_t* cmps) {
   if (dir.single != nullptr)
-    return ProbeRunDirectory<A>(*dir.single, rk, nk, rn, rp, lk, lrow, cmps);
+    return ProbeRunDirectory(*dir.single, rk, nk, rn, rp, lk, lrow, cmps);
   const std::vector<size_t>& cuts = *dir.shard_cuts;
   size_t lo = 0;
   size_t hi = cuts.size() - 1;  // number of shards
@@ -293,12 +231,12 @@ std::pair<size_t, size_t> DirProbe(const RunDirectory& dir,
     const size_t mid = lo + (hi - lo) / 2;
     ++*cmps;
     const size_t s = rp ? rp[cuts[mid]] : cuts[mid];
-    if (CompareKeysAt<A>(rk, s, lk, lrow, nk) <= 0)
+    if (CompareKeysAt(rk, s, lk, lrow, nk) <= 0)
       lo = mid;
     else
       hi = mid;
   }
-  return ProbeRunDirectory<A>((*dir.shards)[lo], rk, nk, rn, rp, lk, lrow,
+  return ProbeRunDirectory((*dir.shards)[lo], rk, nk, rn, rp, lk, lrow,
                               cmps);
 }
 
@@ -326,15 +264,14 @@ void KeyOrderPerm(const Relation<S>& r, const std::vector<int>& pos,
 /// Lower bound of the left key of row `lrow` in the key-ordered right
 /// traversal: first traversal position whose key is not < the probe key.
 /// Used by morsels entering the middle of a monotone merge.
-template <typename A>
-size_t RightLowerBound(const typename A::Col* rk, size_t nk, size_t rn,
-                       const size_t* rpm, const typename A::Col* lk,
-                       size_t lrow, int64_t* cmps) {
+inline size_t RightLowerBound(const ColView* rk, size_t nk, size_t rn,
+                              const size_t* rpm, const ColView* lk,
+                              size_t lrow, int64_t* cmps) {
   size_t lo = 0, hi = rn;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     ++*cmps;
-    if (CompareKeysAt<A>(rk, rpm ? rpm[mid] : mid, lk, lrow, nk) < 0)
+    if (CompareKeysAt(rk, rpm ? rpm[mid] : mid, lk, lrow, nk) < 0)
       lo = mid + 1;
     else
       hi = mid;
@@ -344,9 +281,8 @@ size_t RightLowerBound(const typename A::Col* rk, size_t nk, size_t rn,
 
 /// The raw sorted key array behind a merge side, or nullptr when the column
 /// is encoded — the eligibility probe for the vector merge fast path.
-inline const Value* RawMergeColumn(const Value* c) { return c; }
 inline const Value* RawMergeColumn(const ColView& v) {
-  return v.enc == nullptr ? v.plain : nullptr;
+  return v.encoded() ? nullptr : v.plain;
 }
 
 /// Emits the join outputs of left traversal positions [xb, xe) into `b`:
@@ -360,11 +296,10 @@ inline const Value* RawMergeColumn(const ColView& v) {
 /// traversal order — runs through simd::AdvanceU64 (4 key lanes per probe,
 /// same linear walk, same comparison counts); every other shape keeps the
 /// scalar loops.
-template <typename A, CommutativeSemiring S>
+template <CommutativeSemiring S>
 void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
-                   const typename A::Col* lall, const typename A::Col* lk,
-                   const typename A::Col* rk, size_t nk,
-                   const typename A::Col* rex, size_t nex, const size_t* lpm,
+                   const ColView* lall, const ColView* lk, const ColView* rk,
+                   size_t nk, const ColView* rex, size_t nex, const size_t* lpm,
                    const size_t* rpm, bool lmono, const RunDirectory& dir,
                    size_t xb, size_t xe, RelationBuilder<S>* b,
                    std::vector<Value>* rowbuf, OpStats* st) {
@@ -384,7 +319,7 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
   // binary search instead of replaying the merge from traversal position 0.
   size_t j = 0;
   if (lmono && xb > 0)
-    j = RightLowerBound<A>(rk, nk, rn, rpm, lk, lpm ? lpm[xb] : xb, cmps);
+    j = RightLowerBound(rk, nk, rn, rpm, lk, lpm ? lpm[xb] : xb, cmps);
 
   bool have_prev = false;
   size_t prev_x = 0;
@@ -399,13 +334,13 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
       const size_t nx = lpm ? lpm[xi + 1] : xi + 1;
       __builtin_prefetch(
           dir.single->data() +
-          (HashKeyAt<A>(lk, nk, nx) & (dir.single->size() - 1)));
+          (HashKeyAt(lk, nk, nx) & (dir.single->size() - 1)));
     }
 #endif
-    if (!have_prev || !KeysEqualAt<A>(lk, x, prev_x, nk)) {
+    if (!have_prev || !KeysEqualAt(lk, x, prev_x, nk)) {
       if (lmono) {
         if (vec) {
-          const Value key = A::At(lk[0], x);
+          const Value key = lk[0].At(x);
           lo = simd::AdvanceU64(rk0, j, rn, key, /*strict=*/false,
                                 &st->simd_blocks);
           *cmps += static_cast<int64_t>(lo - j);
@@ -415,84 +350,30 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
           j = hi;
         } else {
           while (j < rn &&
-                 CompareKeysAt<A>(rk, rpm ? rpm[j] : j, lk, x, nk) < 0) {
+                 CompareKeysAt(rk, rpm ? rpm[j] : j, lk, x, nk) < 0) {
             ++*cmps;
             ++j;
           }
           lo = hi = j;
           while (hi < rn &&
-                 CompareKeysAt<A>(rk, rpm ? rpm[hi] : hi, lk, x, nk) == 0)
+                 CompareKeysAt(rk, rpm ? rpm[hi] : hi, lk, x, nk) == 0)
             ++hi;
           *cmps += static_cast<int64_t>(hi - lo) + 1;
           j = hi;
         }
       } else {
-        std::tie(lo, hi) = DirProbe<A>(dir, rk, nk, rn, rpm, lk, x, cmps);
+        std::tie(lo, hi) = DirProbe(dir, rk, nk, rn, rpm, lk, x, cmps);
       }
     }
     have_prev = true;
     prev_x = x;
     if (lo == hi) continue;
-    for (size_t t = 0; t < la; ++t) row[t] = A::At(lall[t], x);
+    for (size_t t = 0; t < la; ++t) row[t] = lall[t].At(x);
     for (size_t y = lo; y < hi; ++y) {
       const size_t ry = rpm ? rpm[y] : y;
-      for (size_t t = 0; t < nex; ++t) row[la + t] = A::At(rex[t], ry);
+      for (size_t t = 0; t < nex; ++t) row[la + t] = rex[t].At(ry);
       b->Append(row, S::Multiply(left.annot(x), right.annot(ry)));
     }
-  }
-}
-
-/// Emits the semijoin survivors among left rows [xb, xe) (original row
-/// order) into `b`; the serial Semijoin loop parameterized over the range.
-/// Survivors are appended column-to-column (RelationBuilder::AppendFrom)
-/// through the `lall` views, with no row-gather buffer.
-template <typename A, CommutativeSemiring S>
-void SemijoinEmitRange(const Relation<S>& left, const Relation<S>& right,
-                       const typename A::Col* lall, const typename A::Col* lk,
-                       const typename A::Col* rk, size_t nk, const size_t* rpm,
-                       bool lmono, const RunDirectory& dir, size_t xb,
-                       size_t xe, RelationBuilder<S>* b, OpStats* st) {
-  const size_t rn = right.size();
-  if (xb >= xe || rn == 0) return;
-  int64_t* const cmps = &st->comparisons;
-
-  const Value* rk0 =
-      (nk == 1 && rpm == nullptr) ? RawMergeColumn(rk[0]) : nullptr;
-  const bool vec = rk0 != nullptr && simd::Available();
-  if (lmono && nk == 1 && rpm == nullptr && !vec) ++st->scalar_fallbacks;
-
-  size_t j = 0;
-  if (lmono && xb > 0) j = RightLowerBound<A>(rk, nk, rn, rpm, lk, xb, cmps);
-
-  bool have_prev = false;
-  size_t prev_x = 0;
-  bool matched = false;
-  for (size_t x = xb; x < xe; ++x) {
-    if (!have_prev || !KeysEqualAt<A>(lk, x, prev_x, nk)) {
-      if (lmono && vec) {
-        const Value key = A::At(lk[0], x);
-        const size_t jn = simd::AdvanceU64(rk0, j, rn, key, /*strict=*/false,
-                                           &st->simd_blocks);
-        *cmps += static_cast<int64_t>(jn - j) + 1;
-        j = jn;
-        matched = j < rn && rk0[j] == key;
-      } else if (lmono) {
-        while (j < rn &&
-               CompareKeysAt<A>(rk, rpm ? rpm[j] : j, lk, x, nk) < 0) {
-          ++*cmps;
-          ++j;
-        }
-        ++*cmps;
-        matched =
-            j < rn && CompareKeysAt<A>(rk, rpm ? rpm[j] : j, lk, x, nk) == 0;
-      } else {
-        auto [lo, hi] = DirProbe<A>(dir, rk, nk, rn, rpm, lk, x, cmps);
-        matched = lo != hi;
-      }
-    }
-    have_prev = true;
-    prev_x = x;
-    if (matched) b->AppendFrom(lall, x, left.annot(x));
   }
 }
 
@@ -502,15 +383,15 @@ void SemijoinEmitRange(const Relation<S>& left, const Relation<S>& right,
 /// adjacently in the builder, and key-aligned morsels guarantee a collapse
 /// never straddles a morsel boundary. `kc` is the kept-column view (width
 /// `nkc`).
-template <typename A, CommutativeSemiring S>
-void ProjectEmitRange(const Relation<S>& r, const typename A::Col* kc,
-                      size_t nkc, const size_t* perm, size_t tb, size_t te,
+template <CommutativeSemiring S>
+void ProjectEmitRange(const Relation<S>& r, const ColView* kc, size_t nkc,
+                      const size_t* perm, size_t tb, size_t te,
                       RelationBuilder<S>* b, std::vector<Value>* rowbuf) {
   std::vector<Value>& row = *rowbuf;
   row.resize(nkc);
   for (size_t t = tb; t < te; ++t) {
     const size_t src = perm ? perm[t] : t;
-    for (size_t k = 0; k < nkc; ++k) row[k] = A::At(kc[k], src);
+    for (size_t k = 0; k < nkc; ++k) row[k] = kc[k].At(src);
     b->Append(row, r.annot(src));
   }
 }
@@ -519,53 +400,54 @@ void ProjectEmitRange(const Relation<S>& r, const typename A::Col* kc,
 /// the pre-scan that sizes the output builder's Reserve. Pure same-column
 /// equality (codes on encoded columns), no decoding; not charged to
 /// OpStats::comparisons so counter semantics stay unchanged.
-template <typename A>
-size_t CountGroups(const typename A::Col* kc, size_t nkc, const size_t* perm,
-                   size_t gb, size_t ge) {
+inline size_t CountGroups(const ColView* kc, size_t nkc, const size_t* perm,
+                          size_t gb, size_t ge) {
   if (gb >= ge) return 0;
   size_t groups = 1;
   if (perm == nullptr && nkc == 1) {
-    if constexpr (std::is_same_v<A, EncodedAccess>) {
-      if (kc[0].encoded() && PackedCursor::Eligible(*kc[0].enc)) {
-        // Rolling bit cursor over the packed codes: the boundary scan is
-        // purely sequential, so no positional unpack per row. Narrow codes
-        // (width <= 14, the policy's usual output) extract four per load —
-        // branchless boundary adds over one 8-byte window.
-        const EncodedColumn& E = *kc[0].enc;
-        const size_t w = E.width;
-        PackedCursor cur(E, kc[0].offset + gb);
-        uint64_t prev = cur.Next();
-        size_t t = gb + 1;
-        if (w <= 14) {
-          const uint64_t m = cur.mask;
-          for (; t + 4 <= ge; t += 4, cur.bit += 4 * w) {
-            uint64_t v;
-            std::memcpy(&v, cur.bytes + (cur.bit >> 3), sizeof v);
-            v >>= (cur.bit & 7);
-            const uint64_t c0 = v & m;
-            const uint64_t c1 = (v >> w) & m;
-            const uint64_t c2 = (v >> (2 * w)) & m;
-            const uint64_t c3 = (v >> (3 * w)) & m;
-            groups += (c0 != prev) + (c1 != c0) + (c2 != c1) + (c3 != c2);
-            prev = c3;
-          }
-        }
-        for (; t < ge; ++t) {
-          const uint64_t code = cur.Next();
-          groups += code != prev;
-          prev = code;
-        }
-        return groups;
-      }
+    if (!kc[0].encoded()) {
+      const Value* c0 = kc[0].plain;
+      for (size_t t = gb + 1; t < ge; ++t) groups += c0[t] != c0[t - 1];
+      return groups;
     }
-    for (size_t t = gb + 1; t < ge; ++t)
-      groups += !A::EqualAt(kc[0], t, t - 1);
+    if (PackedCursor::Eligible(*kc[0].enc)) {
+      // Rolling bit cursor over the packed codes: the boundary scan is
+      // purely sequential, so no positional unpack per row. Narrow codes
+      // (width <= 14, the policy's usual output) extract four per load —
+      // branchless boundary adds over one 8-byte window.
+      const EncodedColumn& E = *kc[0].enc;
+      const size_t w = E.width;
+      PackedCursor cur(E, kc[0].offset + gb);
+      uint64_t prev = cur.Next();
+      size_t t = gb + 1;
+      if (w <= 14) {
+        const uint64_t m = cur.mask;
+        for (; t + 4 <= ge; t += 4, cur.bit += 4 * w) {
+          uint64_t v;
+          std::memcpy(&v, cur.bytes + (cur.bit >> 3), sizeof v);
+          v >>= (cur.bit & 7);
+          const uint64_t c0 = v & m;
+          const uint64_t c1 = (v >> w) & m;
+          const uint64_t c2 = (v >> (2 * w)) & m;
+          const uint64_t c3 = (v >> (3 * w)) & m;
+          groups += (c0 != prev) + (c1 != c0) + (c2 != c1) + (c3 != c2);
+          prev = c3;
+        }
+      }
+      for (; t < ge; ++t) {
+        const uint64_t code = cur.Next();
+        groups += code != prev;
+        prev = code;
+      }
+      return groups;
+    }
+    for (size_t t = gb + 1; t < ge; ++t) groups += !kc[0].EqualAt(t, t - 1);
     return groups;
   }
   for (size_t t = gb + 1; t < ge; ++t) {
     const size_t a = perm ? perm[t] : t;
     const size_t p = perm ? perm[t - 1] : t - 1;
-    groups += !KeysEqualAt<A>(kc, a, p, nkc);
+    groups += !KeysEqualAt(kc, a, p, nkc);
   }
   return groups;
 }
@@ -577,10 +459,10 @@ size_t CountGroups(const typename A::Col* kc, size_t nkc, const size_t* perm,
 /// touches only the kept columns `kc` and the annotation column; on an
 /// encoded key column it detects runs over the packed codes and decodes
 /// exactly once per group, at emission.
-template <typename A, CommutativeSemiring S>
-void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
-                        size_t nkc, const size_t* perm, VarOp op, size_t gb,
-                        size_t ge, RelationBuilder<S>* b,
+template <CommutativeSemiring S>
+void EliminateEmitRange(const Relation<S>& r, const ColView* kc, size_t nkc,
+                        const size_t* perm, VarOp op, size_t gb, size_t ge,
+                        RelationBuilder<S>* b,
                         std::vector<Value>* rowbuf, int64_t* cmps) {
   std::vector<Value>& row = *rowbuf;
   row.resize(nkc);
@@ -589,13 +471,8 @@ void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
     // The flagship columnar scan: group boundaries read one contiguous key
     // column and the fold one contiguous annotation column — no permutation
     // stream, no pointer-array indirection.
-    const Value* c0 = nullptr;
-    if constexpr (std::is_same_v<A, PlainAccess>) {
-      c0 = kc[0];
-    } else {
-      c0 = kc[0].plain;  // non-null when the single kept column is plain
-    }
-    if (c0 != nullptr) {
+    if (!kc[0].encoded()) {
+      const Value* c0 = kc[0].plain;
       // Hoisting the base pointer into a local also frees the compiler
       // from assuming the builder aliases it.
       for (size_t g = gb; g < ge;) {
@@ -613,84 +490,82 @@ void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
       }
       return;
     }
-    if constexpr (std::is_same_v<A, EncodedAccess>) {
-      // Encoded single-column scan: run detection over the packed codes
-      // (one word-at-a-time unpack per step, no dictionary touch), decode
-      // once per group at emission.
-      const ColView c0v = kc[0];
-      if (PackedCursor::Eligible(*c0v.enc)) {
-        // Sequential scan over the packed codes — one unaligned load per
-        // probe instead of a positional unpack, four rows per load inside a
-        // run for narrow codes — and the dictionary is touched once per
-        // group, at emission.
-        const EncodedColumn& E = *c0v.enc;
-        const auto* bytes =
-            reinterpret_cast<const unsigned char*>(E.words.data());
-        const size_t w = E.width;
-        const uint64_t m = E.mask();
-        const size_t off = c0v.offset;
-        uint64_t code = E.CodeAt(off + gb);
-        for (size_t g = gb; g < ge;) {
-          typename S::Value acc = annots[g];
-          size_t e = g + 1;
-          size_t bit = (off + e) * w;
-          if (w <= 14) {
-            // Quad run fold: leave at the first window containing a
-            // boundary, finish that run scalar.
-            while (e + 4 <= ge) {
-              uint64_t v;
-              std::memcpy(&v, bytes + (bit >> 3), sizeof v);
-              v >>= (bit & 7);
-              if ((v & m) != code || ((v >> w) & m) != code ||
-                  ((v >> (2 * w)) & m) != code ||
-                  ((v >> (3 * w)) & m) != code)
-                break;
-              acc = ApplyVarOp<S>(op, acc, annots[e]);
-              acc = ApplyVarOp<S>(op, acc, annots[e + 1]);
-              acc = ApplyVarOp<S>(op, acc, annots[e + 2]);
-              acc = ApplyVarOp<S>(op, acc, annots[e + 3]);
-              e += 4;
-              bit += 4 * w;
-            }
-          }
-          uint64_t next = 0;
-          bool have_next = false;
-          while (e < ge) {
-            uint64_t v;
-            std::memcpy(&v, bytes + (bit >> 3), sizeof v);
-            const uint64_t c = (v >> (bit & 7)) & m;
-            if (c != code) {
-              next = c;
-              have_next = true;
-              break;
-            }
-            acc = ApplyVarOp<S>(op, acc, annots[e]);
-            ++e;
-            bit += w;
-          }
-          *cmps += static_cast<int64_t>(e - g);
-          row[0] = E.Decode(code);
-          b->Append(row, acc);
-          g = e;
-          if (have_next) code = next;
-        }
-        return;
-      }
+    // Encoded single-column scan: run detection over the packed codes
+    // (one word-at-a-time unpack per step, no dictionary touch), decode
+    // once per group at emission.
+    const ColView c0v = kc[0];
+    if (PackedCursor::Eligible(*c0v.enc)) {
+      // Sequential scan over the packed codes — one unaligned load per
+      // probe instead of a positional unpack, four rows per load inside a
+      // run for narrow codes — and the dictionary is touched once per
+      // group, at emission.
+      const EncodedColumn& E = *c0v.enc;
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(E.words.data());
+      const size_t w = E.width;
+      const uint64_t m = E.mask();
+      const size_t off = c0v.offset;
+      uint64_t code = E.CodeAt(off + gb);
       for (size_t g = gb; g < ge;) {
-        const uint64_t code = c0v.CodeAt(g);
         typename S::Value acc = annots[g];
         size_t e = g + 1;
-        while (e < ge && c0v.CodeAt(e) == code) {
+        size_t bit = (off + e) * w;
+        if (w <= 14) {
+          // Quad run fold: leave at the first window containing a
+          // boundary, finish that run scalar.
+          while (e + 4 <= ge) {
+            uint64_t v;
+            std::memcpy(&v, bytes + (bit >> 3), sizeof v);
+            v >>= (bit & 7);
+            if ((v & m) != code || ((v >> w) & m) != code ||
+                ((v >> (2 * w)) & m) != code ||
+                ((v >> (3 * w)) & m) != code)
+              break;
+            acc = ApplyVarOp<S>(op, acc, annots[e]);
+            acc = ApplyVarOp<S>(op, acc, annots[e + 1]);
+            acc = ApplyVarOp<S>(op, acc, annots[e + 2]);
+            acc = ApplyVarOp<S>(op, acc, annots[e + 3]);
+            e += 4;
+            bit += 4 * w;
+          }
+        }
+        uint64_t next = 0;
+        bool have_next = false;
+        while (e < ge) {
+          uint64_t v;
+          std::memcpy(&v, bytes + (bit >> 3), sizeof v);
+          const uint64_t c = (v >> (bit & 7)) & m;
+          if (c != code) {
+            next = c;
+            have_next = true;
+            break;
+          }
           acc = ApplyVarOp<S>(op, acc, annots[e]);
           ++e;
+          bit += w;
         }
         *cmps += static_cast<int64_t>(e - g);
-        row[0] = c0v.enc->Decode(code);
+        row[0] = E.Decode(code);
         b->Append(row, acc);
         g = e;
+        if (have_next) code = next;
       }
       return;
     }
+    for (size_t g = gb; g < ge;) {
+      const uint64_t code = c0v.CodeAt(g);
+      typename S::Value acc = annots[g];
+      size_t e = g + 1;
+      while (e < ge && c0v.CodeAt(e) == code) {
+        acc = ApplyVarOp<S>(op, acc, annots[e]);
+        ++e;
+      }
+      *cmps += static_cast<int64_t>(e - g);
+      row[0] = c0v.enc->Decode(code);
+      b->Append(row, acc);
+      g = e;
+    }
+    return;
   }
   for (size_t g = gb; g < ge;) {
     const size_t head = perm ? perm[g] : g;
@@ -698,12 +573,12 @@ void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
     size_t e = g + 1;
     while (e < ge) {
       const size_t src = perm ? perm[e] : e;
-      if (!KeysEqualAt<A>(kc, src, head, nkc)) break;
+      if (!KeysEqualAt(kc, src, head, nkc)) break;
       acc = ApplyVarOp<S>(op, acc, annots[src]);
       ++e;
     }
     *cmps += static_cast<int64_t>(e - g);
-    for (size_t k = 0; k < nkc; ++k) row[k] = A::At(kc[k], head);
+    for (size_t k = 0; k < nkc; ++k) row[k] = kc[k].At(head);
     b->Append(row, acc);
     g = e;
   }
@@ -713,31 +588,30 @@ void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
 /// the worker pool: the traversal is cut into key-aligned shards, worker w
 /// claims shards through the pool and builds each into
 /// `cx.table_shards[s]`. Returns the shard cuts for RunDirectory probing.
-template <typename A>
-std::vector<size_t> BuildShardedRunDirectory(ExecContext& cx, int workers,
-                                             const typename A::Col* rk,
-                                             size_t nk, size_t rn,
-                                             const size_t* rpm) {
+inline std::vector<size_t> BuildShardedRunDirectory(ExecContext& cx,
+                                                    int workers,
+                                                    const ColView* rk,
+                                                    size_t nk, size_t rn,
+                                                    const size_t* rpm) {
   std::vector<size_t> cuts =
       KeyAlignedCuts(rn, static_cast<size_t>(workers), [&](size_t t) {
         const size_t a = rpm ? rpm[t] : t;
         const size_t p = rpm ? rpm[t - 1] : t - 1;
-        return !KeysEqualAt<A>(rk, a, p, nk);
+        return !KeysEqualAt(rk, a, p, nk);
       });
   const size_t n_shards = cuts.size() - 1;
   if (cx.table_shards.size() < n_shards) cx.table_shards.resize(n_shards);
   WorkerPool::Shared().ParallelFor(
       std::min<int>(workers, static_cast<int>(n_shards)), n_shards,
       [&](int, size_t s) {
-        BuildRunDirectoryRange<A>(rk, nk, cuts[s], cuts[s + 1], rpm,
+        BuildRunDirectoryRange(rk, nk, cuts[s], cuts[s + 1], rpm,
                                   &cx.table_shards[s]);
       });
   return cuts;
 }
 
-/// The Join body (see the public wrapper below for semantics), one
-/// instantiation per access policy.
-template <typename A, CommutativeSemiring S>
+/// The Join body (see the public wrapper below for semantics).
+template <CommutativeSemiring S>
 Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
                      ExecContext* ctx) {
   ExecContext& cx = ExecContext::Resolve(ctx);
@@ -767,16 +641,16 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
       rextra.push_back(static_cast<int>(i));
     }
 
-  // Typed column views of everything this call traverses: left key + all
-  // left columns (output assembly), right key + right extras.
-  GatherCols<A>(left, lpos, &ScratchCols<A>::a(cx));
-  GatherCols<A>(right, rpos, &ScratchCols<A>::b(cx));
-  GatherCols<A>(right, rextra, &ScratchCols<A>::c(cx));
-  GatherAllCols<A>(left, &ScratchCols<A>::d(cx));
-  const typename A::Col* lk = ScratchCols<A>::a(cx).data();
-  const typename A::Col* rk = ScratchCols<A>::b(cx).data();
-  const typename A::Col* rex = ScratchCols<A>::c(cx).data();
-  const typename A::Col* lall = ScratchCols<A>::d(cx).data();
+  // Column views of everything this call traverses: left key + all left
+  // columns (output assembly), right key + right extras.
+  GatherColViews(left, lpos, &cx.vcols_a);
+  GatherColViews(right, rpos, &cx.vcols_b);
+  GatherColViews(right, rextra, &cx.vcols_c);
+  GatherAllColViews(left, &cx.vcols_d);
+  const ColView* lk = cx.vcols_a.data();
+  const ColView* rk = cx.vcols_b.data();
+  const ColView* rex = cx.vcols_c.data();
+  const ColView* lall = cx.vcols_d.data();
   const size_t nk = lpos.size();
   const size_t nex = rextra.size();
   const size_t ln = left.size();
@@ -831,7 +705,7 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
     RunDirectory dir;
     std::vector<size_t> shard_cuts;
     if (!lmono) {
-      shard_cuts = BuildShardedRunDirectory<A>(cx, workers, rk, nk, rn, rpm);
+      shard_cuts = BuildShardedRunDirectory(cx, workers, rk, nk, rn, rpm);
       dir.shards = &cx.table_shards;
       dir.shard_cuts = &shard_cuts;
     }
@@ -840,12 +714,12 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
         [&](size_t t) {
           const size_t a = lpm ? lpm[t] : t;
           const size_t p = lpm ? lpm[t - 1] : t - 1;
-          return !KeysEqualAt<A>(lk, a, p, nk);
+          return !KeysEqualAt(lk, a, p, nk);
         },
         &st,
         [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
           b->Reserve(xe - xb);
-          JoinEmitRange<A>(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm,
+          JoinEmitRange(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm,
                            lmono, dir, xb, xe, b, &wc.row, &wc.join);
         });
     for (int w = 0; w < workers; ++w) {
@@ -859,108 +733,20 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
 
   RunDirectory dir;
   if (!lmono && ln > 0 && rn > 0) {
-    BuildRunDirectory<A>(rk, nk, rn, rpm, &cx.table);
+    BuildRunDirectory(rk, nk, rn, rpm, &cx.table);
     dir.single = &cx.table;
   }
   RelationBuilder<S> b{std::move(out_schema)};
   b.Reserve(std::max(ln, rn));
-  JoinEmitRange<A>(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm, lmono,
+  JoinEmitRange(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm, lmono,
                    dir, 0, ln, &b, &cx.row, &st);
   Relation<S> out = b.Build();
   st.rows_out += static_cast<int64_t>(out.size());
   return out;
 }
 
-/// The Semijoin body, one instantiation per access policy.
-template <typename A, CommutativeSemiring S>
-Relation<S> SemijoinImpl(const Relation<S>& left, const Relation<S>& right,
-                         ExecContext* ctx) {
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  OpStats& st = cx.semijoin;
-  ++st.calls;
-  st.rows_in += static_cast<int64_t>(left.size() + right.size());
-
-  const SchemaIndex ridx(right.schema());
-  std::vector<int>& lpos = cx.pos_a;
-  std::vector<int>& rpos = cx.pos_b;
-  lpos.clear();
-  rpos.clear();
-  for (size_t i = 0; i < left.arity(); ++i) {
-    const int rp = ridx.PositionOf(left.schema().var(i));
-    if (rp >= 0) {
-      lpos.push_back(static_cast<int>(i));
-      rpos.push_back(rp);
-    }
-  }
-
-  GatherCols<A>(left, lpos, &ScratchCols<A>::a(cx));
-  GatherCols<A>(right, rpos, &ScratchCols<A>::b(cx));
-  GatherAllCols<A>(left, &ScratchCols<A>::d(cx));
-  const typename A::Col* lk = ScratchCols<A>::a(cx).data();
-  const typename A::Col* rk = ScratchCols<A>::b(cx).data();
-  const typename A::Col* lall = ScratchCols<A>::d(cx).data();
-  const size_t nk = lpos.size();
-  const size_t ln = left.size();
-  const size_t rn = right.size();
-
-  // Right side key-ordered; identity when the key is a canonical prefix.
-  const size_t* rpm = nullptr;
-  if (IsCanonicalKeyPrefix(right, rpos)) {
-    ++st.sort_skips;
-  } else {
-    KeyOrderPerm(right, rpos, cx, &cx.perm_b, &st);
-    rpm = cx.perm_b.data();
-  }
-
-  // Left keys arrive monotonically only when left is canonical and the key
-  // is its schema prefix (the traversal below is in original row order).
-  const bool lmono = IsCanonicalKeyPrefix(left, lpos);
-
-  // Parallel only for canonical left: the output is then a concatenation of
-  // canonical subsequences; a non-canonical left would make piece-local
-  // canonicalization orders observable.
-  const int workers = left.canonical() ? PlannedWorkers(cx, ln) : 1;
-  if (workers > 1 && rn > 0) {
-    RunDirectory dir;
-    std::vector<size_t> shard_cuts;
-    if (!lmono) {
-      shard_cuts = BuildShardedRunDirectory<A>(cx, workers, rk, nk, rn, rpm);
-      dir.shards = &cx.table_shards;
-      dir.shard_cuts = &shard_cuts;
-    }
-    Relation<S> out = MorselRun<S>(
-        cx, workers, left.schema(), ln,
-        [&](size_t t) { return !KeysEqualAt<A>(lk, t, t - 1, nk); }, &st,
-        [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
-          b->Reserve(xe - xb);
-          SemijoinEmitRange<A>(left, right, lall, lk, rk, nk, rpm, lmono, dir,
-                               xb, xe, b, &wc.semijoin);
-        });
-    for (int w = 0; w < workers; ++w) {
-      ExecContext& wc = cx.WorkerContext(w);
-      st += wc.semijoin;
-      wc.semijoin = OpStats{};
-    }
-    st.rows_out += static_cast<int64_t>(out.size());
-    return out;
-  }
-
-  RunDirectory dir;
-  if (!lmono && ln > 0 && rn > 0) {
-    BuildRunDirectory<A>(rk, nk, rn, rpm, &cx.table);
-    dir.single = &cx.table;
-  }
-  RelationBuilder<S> b{left.schema()};
-  b.Reserve(ln);
-  SemijoinEmitRange<A>(left, right, lall, lk, rk, nk, rpm, lmono, dir, 0, ln,
-                       &b, &st);
-  Relation<S> out = b.Build();
-  st.rows_out += static_cast<int64_t>(out.size());
-  return out;
-}
-
-/// The Project body, one instantiation per access policy.
-template <typename A, CommutativeSemiring S>
+/// The Project body (see the public wrapper below for semantics).
+template <CommutativeSemiring S>
 Relation<S> ProjectImpl(const Relation<S>& r, const std::vector<VarId>& keep,
                         ExecContext* ctx) {
   ExecContext& cx = ExecContext::Resolve(ctx);
@@ -987,8 +773,8 @@ Relation<S> ProjectImpl(const Relation<S>& r, const std::vector<VarId>& keep,
     KeyOrderPerm(r, pos, cx, &cx.perm_a, &st);
     perm = cx.perm_a.data();
   }
-  GatherCols<A>(r, pos, &ScratchCols<A>::a(cx));
-  const typename A::Col* kc = ScratchCols<A>::a(cx).data();
+  GatherColViews(r, pos, &cx.vcols_a);
+  const ColView* kc = cx.vcols_a.data();
   const size_t nkc = pos.size();
 
   Relation<S> out;
@@ -999,26 +785,26 @@ Relation<S> ProjectImpl(const Relation<S>& r, const std::vector<VarId>& keep,
         [&](size_t t) {
           const size_t a = perm ? perm[t] : t;
           const size_t p = perm ? perm[t - 1] : t - 1;
-          return !KeysEqualAt<A>(kc, a, p, nkc);
+          return !KeysEqualAt(kc, a, p, nkc);
         },
         &st,
         [&](ExecContext& wc, size_t tb, size_t te, RelationBuilder<S>* b) {
           b->Reserve(te - tb);
-          ProjectEmitRange<A>(r, kc, nkc, perm, tb, te, b, &wc.row);
+          ProjectEmitRange(r, kc, nkc, perm, tb, te, b, &wc.row);
         });
   } else {
     RelationBuilder<S> b{Schema(keep)};
     b.Reserve(n);
-    ProjectEmitRange<A>(r, kc, nkc, perm, 0, n, &b, &cx.row);
+    ProjectEmitRange(r, kc, nkc, perm, 0, n, &b, &cx.row);
     out = b.Build();
   }
   st.rows_out += static_cast<int64_t>(out.size());
   return out;
 }
 
-/// One Eliminate batch (all variables sharing one aggregate), one
-/// instantiation per access policy. `vb`/`ve` delimit the batch's variables.
-template <typename A, CommutativeSemiring S>
+/// One Eliminate batch (all variables sharing one aggregate). `vb`/`ve`
+/// delimit the batch's variables.
+template <CommutativeSemiring S>
 Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
                            const VarId* ve, VarOp op, ExecContext& cx,
                            OpStats& st) {
@@ -1042,8 +828,8 @@ Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
     KeyOrderPerm(in, kept_pos, cx, &cx.perm_a, &st);
     perm = cx.perm_a.data();
   }
-  GatherCols<A>(in, kept_pos, &ScratchCols<A>::a(cx));
-  const typename A::Col* kc = ScratchCols<A>::a(cx).data();
+  GatherColViews(in, kept_pos, &cx.vcols_a);
+  const ColView* kc = cx.vcols_a.data();
   const size_t nkc = kept_pos.size();
   Schema out_schema{std::move(kept_vars)};
 
@@ -1055,14 +841,14 @@ Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
         [&](size_t t) {
           const size_t a = perm ? perm[t] : t;
           const size_t p = perm ? perm[t - 1] : t - 1;
-          return !KeysEqualAt<A>(kc, a, p, nkc);
+          return !KeysEqualAt(kc, a, p, nkc);
         },
         &st,
         [&](ExecContext& wc, size_t gb, size_t ge, RelationBuilder<S>* b) {
           // Reserve from the group count discovered by the scan pass: the
           // emission loop then never regrows its output columns.
-          b->Reserve(CountGroups<A>(kc, nkc, perm, gb, ge));
-          EliminateEmitRange<A>(in, kc, nkc, perm, op, gb, ge, b, &wc.row,
+          b->Reserve(CountGroups(kc, nkc, perm, gb, ge));
+          EliminateEmitRange(in, kc, nkc, perm, op, gb, ge, b, &wc.row,
                                 &wc.eliminate.comparisons);
         });
     for (int w = 0; w < workers; ++w) {
@@ -1072,8 +858,8 @@ Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
     }
   } else {
     RelationBuilder<S> b{std::move(out_schema)};
-    b.Reserve(CountGroups<A>(kc, nkc, perm, 0, n));
-    EliminateEmitRange<A>(in, kc, nkc, perm, op, 0, n, &b, &cx.row,
+    b.Reserve(CountGroups(kc, nkc, perm, 0, n));
+    EliminateEmitRange(in, kc, nkc, perm, op, 0, n, &b, &cx.row,
                           &st.comparisons);
     out = b.Build();
   }
@@ -1100,54 +886,20 @@ Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
 /// traversal is cut into key-aligned morsels executed on the worker pool
 /// (run directory sharded across workers too); output bytes are identical
 /// to the serial path — see docs/kernel.md, "Morsel-parallel execution".
-/// Encoded inputs dispatch to the EncodedAccess instantiation of the same
-/// body; outputs are bit-identical either way.
+/// Plain and encoded inputs run the same body through column views; outputs
+/// are bit-identical either way.
 template <CommutativeSemiring S>
 Relation<S> Join(const Relation<S>& left, const Relation<S>& right,
                  ExecContext* ctx = nullptr) {
   ExecContext& cx = ExecContext::Resolve(ctx);
-  const bool enc = left.any_encoded() || right.any_encoded();
   // Tracing off is the overwhelmingly common case and must stay free: this
   // one branch is the operator's entire span cost (the contract
   // bench/bench_obs_overhead.cc gates). Same shape in every wrapper below.
-  if (cx.trace == nullptr) {
-    return enc ? internal::JoinImpl<EncodedAccess>(left, right, &cx)
-               : internal::JoinImpl<PlainAccess>(left, right, &cx);
-  }
+  if (cx.trace == nullptr) return internal::JoinImpl(left, right, &cx);
   obs::Span sp(cx.trace, "join", cx.trace_track);
   const OpStats before = cx.join;
-  Relation<S> out = enc ? internal::JoinImpl<EncodedAccess>(left, right, &cx)
-                        : internal::JoinImpl<PlainAccess>(left, right, &cx);
+  Relation<S> out = internal::JoinImpl(left, right, &cx);
   sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(before, cx.join)));
-  return out;
-}
-
-/// Semijoin left ⋉ right: rows of `left` whose projection onto the shared
-/// variables matches some non-zero row of `right`; annotations of `left`
-/// are kept unchanged (Definition 3.5 semantics).
-///
-/// Left rows are tested in their original order against a key-ordered right
-/// side (linear merge when the left key is a canonical schema prefix, hashed
-/// run-directory probes otherwise; the right-side sort is skipped when its
-/// key is a canonical schema prefix) — for a canonical left input the output
-/// is a canonical subsequence and never needs sorting. A canonical left also
-/// unlocks the morsel-parallel path (ctx->parallelism > 1): disjoint
-/// key-aligned slices of the left filter independently and concatenate.
-template <CommutativeSemiring S>
-Relation<S> Semijoin(const Relation<S>& left, const Relation<S>& right,
-                     ExecContext* ctx = nullptr) {
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  const bool enc = left.any_encoded() || right.any_encoded();
-  if (cx.trace == nullptr) {
-    return enc ? internal::SemijoinImpl<EncodedAccess>(left, right, &cx)
-               : internal::SemijoinImpl<PlainAccess>(left, right, &cx);
-  }
-  obs::Span sp(cx.trace, "semijoin", cx.trace_track);
-  const OpStats before = cx.semijoin;
-  Relation<S> out = enc
-                        ? internal::SemijoinImpl<EncodedAccess>(left, right, &cx)
-                        : internal::SemijoinImpl<PlainAccess>(left, right, &cx);
-  sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(before, cx.semijoin)));
   return out;
 }
 
@@ -1164,15 +916,10 @@ template <CommutativeSemiring S>
 Relation<S> Project(const Relation<S>& r, const std::vector<VarId>& keep,
                     ExecContext* ctx = nullptr) {
   ExecContext& cx = ExecContext::Resolve(ctx);
-  if (cx.trace == nullptr) {
-    return r.any_encoded() ? internal::ProjectImpl<EncodedAccess>(r, keep, &cx)
-                           : internal::ProjectImpl<PlainAccess>(r, keep, &cx);
-  }
+  if (cx.trace == nullptr) return internal::ProjectImpl(r, keep, &cx);
   obs::Span sp(cx.trace, "project", cx.trace_track);
   const OpStats before = cx.project;
-  Relation<S> out = r.any_encoded()
-                        ? internal::ProjectImpl<EncodedAccess>(r, keep, &cx)
-                        : internal::ProjectImpl<PlainAccess>(r, keep, &cx);
+  Relation<S> out = internal::ProjectImpl(r, keep, &cx);
   sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(before, cx.project)));
   return out;
 }
@@ -1195,9 +942,7 @@ Relation<S> Project(const Relation<S>& r, const std::vector<VarId>& keep,
 /// ctx->parallelism > 1; a group always folds whole inside one morsel, in
 /// traversal order, so parallel results are bit-identical to serial —
 /// floating-point semirings included. The input is consumed by const
-/// reference through column views — no defensive copy. Each batch
-/// re-dispatches on its input's encoding, so encoded intermediates stay on
-/// the encoded kernel.
+/// reference through column views — no defensive copy.
 template <CommutativeSemiring S>
 Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
                       std::vector<VarOp> ops, ExecContext* ctx = nullptr) {
@@ -1253,14 +998,8 @@ Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
     size_t be = bi + 1;
     while (be < vars.size() && ops[be] == ops[bi]) ++be;
     const VarOp op = ops[bi];
-    const Relation<S>& in = *src;
-    const VarId* vb = vars.data() + bi;
-    const VarId* ve = vars.data() + be;
-    Relation<S> out =
-        in.any_encoded()
-            ? internal::EliminateBatch<EncodedAccess>(in, vb, ve, op, cx, st)
-            : internal::EliminateBatch<PlainAccess>(in, vb, ve, op, cx, st);
-    cur = std::move(out);
+    cur = internal::EliminateBatch(*src, vars.data() + bi, vars.data() + be,
+                                   op, cx, st);
     src = &cur;
     bi = be;
   }

@@ -1,8 +1,8 @@
 // SIMD kernels for sorted-key work (docs/kernel.md, "SIMD intersection
 // layer").
 //
-// The kernel's hot sorted-key loops — the sort-merge Join/Semijoin advance
-// loops, the closing window of a galloping trie seek, the multiway join's
+// The kernel's hot sorted-key loops — the sort-merge Join advance loop,
+// the closing window of a galloping trie seek, the multiway join's
 // decoded-window seeks — are scans over one *sorted* contiguous array. This
 // header is the one kernel library those loops call into: block-wise lower
 // bound, merge advance, and a vectorized window decode that unpacks

@@ -21,6 +21,30 @@ struct Assessed {
   uint64_t domain = 2;
 };
 
+/// Validates `query` and, when it is valid, profiles every relation and
+/// reads the free variables and the domain: the admission inputs Submit and
+/// Subscribe share. Each step is a span on `track` of `tr` (null: no spans).
+Assessed AssessQuery(const AnyQuery& query, obs::TraceSession* tr,
+                     uint32_t track) {
+  Assessed a;
+  {
+    obs::Span sp(tr, "validate", track);
+    a.validate = std::visit([](const auto& q) { return q.Validate(); }, query);
+  }
+  if (!a.validate.ok()) return a;
+  obs::Span sp(tr, "profile", track);
+  std::visit(
+      [&a](const auto& q) {
+        a.profiles.reserve(q.relations.size());
+        for (const auto& r : q.relations)
+          a.profiles.push_back(ProfileRelation(r));
+        a.free_vars = q.free_vars;
+        a.domain = q.DomainSize();
+      },
+      query);
+  return a;
+}
+
 /// Executes one typed query with the job's strategy. The context already
 /// carries the session's cancel token and the class parallelism.
 template <CommutativeSemiring S>
@@ -150,30 +174,13 @@ std::shared_ptr<Session> Engine::Submit(QueryRequest req) {
                                   : "query " + req.tag);
   obs::Span submit_sp(tr.get(), "submit", track);
 
-  Assessed a;
-  {
-    obs::Span sp(tr.get(), "validate", track);
-    a.validate =
-        std::visit([](const auto& q) { return q.Validate(); }, req.query);
-  }
+  Assessed a = AssessQuery(req.query, tr.get(), track);
   if (!a.validate.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.failed;
     m_.failed->Add();
     session->Deliver(a.validate);
     return session;
-  }
-  {
-    obs::Span sp(tr.get(), "profile", track);
-    std::visit(
-        [&a](const auto& q) {
-          a.profiles.reserve(q.relations.size());
-          for (const auto& r : q.relations)
-            a.profiles.push_back(ProfileRelation(r));
-          a.free_vars = q.free_vars;
-          a.domain = q.DomainSize();
-        },
-        req.query);
   }
 
   // Plan through the shared cache with the exact keys YannakakisSolve will
@@ -378,22 +385,9 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return Status::Cancelled("engine is shutting down");
-    ++stats_.subscriptions;
   }
 
-  Assessed a = std::visit(
-      [](const auto& q) {
-        Assessed out;
-        out.validate = q.Validate();
-        if (!out.validate.ok()) return out;
-        out.profiles.reserve(q.relations.size());
-        for (const auto& r : q.relations)
-          out.profiles.push_back(ProfileRelation(r));
-        out.free_vars = q.free_vars;
-        out.domain = q.DomainSize();
-        return out;
-      },
-      req.query);
+  Assessed a = AssessQuery(req.query, nullptr, 0);
   if (!a.validate.ok()) return a.validate;
 
   const Hypergraph& h = std::visit(
@@ -416,7 +410,7 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
   // work Solve would do, with full kernel parallelism.
   ExecContext ctx;
   ctx.parallelism = std::max(1, opts_.parallelism);
-  return std::visit(
+  Result<std::shared_ptr<StandingSession>> ss = std::visit(
       [&](auto& q) -> Result<std::shared_ptr<StandingSession>> {
         using Sm = typename std::decay_t<decltype(q)>::Semiring;
         auto sq = StandingQuery<Sm>::Create(std::move(q), &ctx);
@@ -426,6 +420,11 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
             a.domain, *std::move(w)));
       },
       req.query);
+  if (ss.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.subscriptions;
+  }
+  return ss;
 }
 
 Result<QueryResult> Engine::SubmitDelta(StandingSession* ss, int relation_id,

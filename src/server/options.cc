@@ -66,8 +66,9 @@ EngineOptions EngineOptions::FromEnv() {
   opts.simd = DefaultSimdEnabled();
   const char* budget = std::getenv("TOPOFAQ_PAGE_BUDGET");
   if (budget != nullptr && *budget != '\0') {
-    const long v = std::atol(budget);
-    if (v >= 1) opts.page_budget = v;
+    char* end = nullptr;
+    const long v = std::strtol(budget, &end, 10);
+    if (*end == '\0' && v >= 1) opts.page_budget = v;
   }
   const char* trace = std::getenv("TOPOFAQ_TRACE");
   if (trace != nullptr && *trace != '\0') opts.trace_path = trace;

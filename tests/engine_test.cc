@@ -282,6 +282,8 @@ TEST(Engine, RegistryRejectionCounterMatchesEngineStats) {
   const EngineStats st1 = engine.stats();
   EXPECT_EQ(st1.rejected - st0.rejected, 2);
   EXPECT_EQ(st1.deltas_rejected - st0.deltas_rejected, 1);
+  // Only the admitted subscription counts as a standing session.
+  EXPECT_EQ(st1.subscriptions - st0.subscriptions, 1);
   EXPECT_EQ(static_cast<int64_t>(reg.value() - reg0),
             (st1.rejected + st1.deltas_rejected) -
                 (st0.rejected + st0.deltas_rejected));
@@ -486,6 +488,10 @@ TEST(EngineOptions, FromEnvParsesPageBudget) {
   setenv("TOPOFAQ_PAGE_BUDGET", "3", 1);
   EXPECT_EQ(EngineOptions::FromEnv().page_budget, 3);
   setenv("TOPOFAQ_PAGE_BUDGET", "0", 1);  // invalid: keep the default
+  EXPECT_EQ(EngineOptions::FromEnv().page_budget, 8);
+  setenv("TOPOFAQ_PAGE_BUDGET", "5x", 1);  // trailing garbage is invalid
+  EXPECT_EQ(EngineOptions::FromEnv().page_budget, 8);
+  setenv("TOPOFAQ_PAGE_BUDGET", "-3", 1);
   EXPECT_EQ(EngineOptions::FromEnv().page_budget, 8);
   unsetenv("TOPOFAQ_PAGE_BUDGET");
   EXPECT_EQ(EngineOptions::FromEnv().page_budget, 8);

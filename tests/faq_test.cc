@@ -6,6 +6,7 @@
 #include "faq/query.h"
 #include "faq/solvers.h"
 #include "hypergraph/generators.h"
+#include "relation/reference_ops.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -213,7 +214,7 @@ TEST(Faq, SemijoinAsFaq) {
   auto q = MakeFaqSS<BooleanSemiring>(h, {r0, r1}, {0, 1});
   auto res = BruteForceSolve(q);
   ASSERT_TRUE(res.ok());
-  EXPECT_TRUE(res->EqualsAsFunction(Semijoin(r0, r1)));
+  EXPECT_TRUE(res->EqualsAsFunction(reference::Semijoin(r0, r1)));
 }
 
 TEST(Faq, ValidateCatchesShapeErrors) {

@@ -380,6 +380,8 @@ TEST(IvmEngine, SubscribeRequiresTheGhdPass) {
   req.query = std::move(q);
   auto ss = engine.Subscribe(std::move(req));
   EXPECT_FALSE(ss.ok());
+  // A refused subscription creates no standing session.
+  EXPECT_EQ(engine.stats().subscriptions, 0);
 }
 
 TEST(IvmEngine, DeltaValidationSurface) {
